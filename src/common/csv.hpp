@@ -6,9 +6,15 @@
 // pipeline, so every malformed shape is rejected with a ptrack::Error
 // instead of propagating garbage values downstream. The fuzz harnesses in
 // fuzz/ drive parse() directly with arbitrary bytes.
+//
+// parse() is a single-pass scanner: it reads the stream in fixed
+// kReadChunkBytes chunks, splits lines and cells in place and converts
+// cells with std::from_chars, so memory stays at the Document plus one
+// chunk (and the longest line).
 
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -27,6 +33,10 @@ struct Document {
 inline constexpr std::size_t kMaxColumns = 4096;
 inline constexpr std::size_t kMaxRows = 50'000'000;
 inline constexpr std::size_t kMaxCellChars = 64;
+
+/// parse() reads its stream in chunks of this many bytes; a line that
+/// straddles two chunks is carried over to the next one.
+inline constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
 /// Writes rows of doubles with a header line. Throws ptrack::Error on I/O
 /// failure.

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "common/angles.hpp"
@@ -240,6 +246,203 @@ TEST(Csv, RoundTrip) {
 
 TEST(Csv, MissingFileThrows) {
   EXPECT_THROW(csv::read("/nonexistent/definitely/missing.csv"), Error);
+}
+
+namespace {
+
+std::string temp_csv_path(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("ptrack_test_csv_" + tag + ".csv"))
+      .string();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Expects both documents to hold the same header and bit-identical rows.
+void expect_same_document(const csv::Document& a, const csv::Document& b) {
+  EXPECT_EQ(a.header, b.header);
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    ASSERT_EQ(a.rows[i].size(), b.rows[i].size()) << "row " << i;
+    EXPECT_EQ(std::memcmp(a.rows[i].data(), b.rows[i].data(),
+                          a.rows[i].size() * sizeof(double)),
+              0)
+        << "row " << i;
+  }
+}
+
+// Builds a CSV text of three columns whose data rows are recorded cell by
+// cell, so a parse can be checked against std::stod of every cell's text.
+class CsvText {
+ public:
+  CsvText() : text_("a,b,c\n") {}
+
+  void row(const std::vector<std::string>& cells, bool newline = true) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (i) text_ += ',';
+      text_ += cells[i];
+    }
+    if (newline) text_ += '\n';
+    cells_.push_back(cells);
+  }
+
+  void blank_line() { text_ += '\n'; }
+
+  // Appends random rows, then one zero-padded row sized so that the text
+  // ends exactly at byte `target`.
+  void fill_to(std::size_t target, Rng& rng) {
+    while (text_.size() + 100 < target) {
+      std::vector<std::string> cells;
+      for (int c = 0; c < 3; ++c) cells.push_back(random_cell(rng));
+      row(cells);
+    }
+    ASSERT_GE(target, text_.size() + 6);
+    const std::size_t digits = target - text_.size() - 3;  // 2 commas, '\n'
+    ASSERT_LE(digits, 3 * csv::kMaxCellChars);
+    std::vector<std::string> cells;
+    for (std::size_t c = 0; c < 3; ++c) {
+      const std::size_t n = digits / 3 + (c < digits % 3 ? 1 : 0);
+      cells.push_back(std::string(n - 1, '0') + std::to_string(c + 1));
+    }
+    row(cells);
+    ASSERT_EQ(text_.size(), target);
+  }
+
+  const std::string& text() const { return text_; }
+  std::size_t size() const { return text_.size(); }
+
+  void expect_values(const csv::Document& doc) const {
+    ASSERT_EQ(doc.rows.size(), cells_.size());
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      for (std::size_t j = 0; j < 3; ++j) {
+        const double want = std::stod(cells_[i][j]);
+        ASSERT_EQ(std::memcmp(&doc.rows[i][j], &want, sizeof want), 0)
+            << "row " << i << " cell '" << cells_[i][j] << "'";
+      }
+    }
+  }
+
+ private:
+  static std::string random_cell(Rng& rng) {
+    static const char* const kFormats[] = {"%.17g", "%.12g", "%.6f", "%.3e",
+                                           "%g"};
+    const double v = rng.uniform(-1.0, 1.0) *
+                     std::pow(10.0, rng.uniform_int(-12, 12));
+    char buf[64];
+    std::snprintf(buf, sizeof buf, kFormats[rng.uniform_int(0, 4)], v);
+    return buf;
+  }
+
+  std::string text_;
+  std::vector<std::vector<std::string>> cells_;
+};
+
+}  // namespace
+
+// parse() reads in kReadChunkBytes chunks. Rows, cells and blank lines are
+// laid across the chunk boundaries; the stream and file readers must agree
+// with each other and with std::stod of every cell.
+TEST(Csv, ChunkBoundariesAreInvisible) {
+  constexpr std::size_t kChunk = csv::kReadChunkBytes;
+  Rng rng(11);
+  CsvText doc;
+  // Boundary 1 falls inside a cell.
+  doc.fill_to(kChunk - 5, rng);
+  doc.row({"123.456789", "-2.5e-3", "7"});
+  // Boundary 2 falls just after a comma.
+  doc.fill_to(2 * kChunk - 4, rng);
+  doc.row({"1.5", "2.25", "3"});
+  // Boundary 3: a chunk ends with a row's '\n' and the next one opens with a
+  // blank line.
+  doc.fill_to(3 * kChunk, rng);
+  doc.blank_line();
+  // Boundary 4: a blank line is the last byte of a chunk.
+  doc.fill_to(4 * kChunk - 1, rng);
+  doc.blank_line();
+  // Boundary 5 falls inside the final line, which has no '\n'.
+  doc.fill_to(5 * kChunk - 3, rng);
+  doc.row({"0.000125", "42", "-0"}, /*newline=*/false);
+  ASSERT_GT(doc.size(), 5 * kChunk);
+
+  std::istringstream in(doc.text());
+  const csv::Document parsed = csv::parse(in, "chunks");
+  doc.expect_values(parsed);
+  EXPECT_EQ(parsed.header, (std::vector<std::string>{"a", "b", "c"}));
+
+  const std::string path = temp_csv_path("chunks");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << doc.text();
+  }
+  expect_same_document(csv::read(path), parsed);
+  std::remove(path.c_str());
+}
+
+// A line longer than a chunk (here the header and every row) is carried
+// across several refills.
+TEST(Csv, LinesLongerThanAChunk) {
+  const std::size_t width = csv::kMaxColumns;
+  std::string text;
+  for (std::size_t c = 0; c < width; ++c) {
+    text += (c ? ",column_number_" : "column_number_") + std::to_string(c);
+  }
+  text += '\n';
+  for (int r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < width; ++c) {
+      if (c) text += ',';
+      text += std::to_string(r) + "." + std::to_string(c) +
+              "00000000000000000001";
+    }
+    text += '\n';
+  }
+  ASSERT_GT(text.find('\n'), csv::kReadChunkBytes);  // the shortest line
+
+  std::istringstream in(text);
+  const csv::Document doc = csv::parse(in, "wide");
+  ASSERT_EQ(doc.header.size(), width);
+  EXPECT_EQ(doc.header.back(), "column_number_" + std::to_string(width - 1));
+  ASSERT_EQ(doc.rows.size(), 3u);
+  for (int r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < width; ++c) {
+      const std::string cell =
+          std::to_string(r) + "." + std::to_string(c) + "00000000000000000001";
+      ASSERT_EQ(doc.rows[static_cast<std::size_t>(r)][c], std::stod(cell));
+    }
+  }
+}
+
+// csv::write formats cells with std::to_chars; its bytes must equal what an
+// ostream with precision(12) prints.
+TEST(Csv, WriteMatchesOstreamPrecision12) {
+  Rng rng(5);
+  std::vector<double> values = {0.0,    -0.0,   1e-6,   100.0,  1e21,  -1e-300,
+                                1e300,  0.1,    1.0 / 3, 123456789012345.0,
+                                5e-324, 1e-5,   99999999999.95,
+                                std::numeric_limits<double>::max()};
+  while (values.size() < 3000) {
+    values.push_back(rng.uniform(-1.0, 1.0) *
+                     std::pow(10.0, rng.uniform_int(-300, 300)));
+  }
+  const std::vector<std::string> header{"x", "y", "z"};
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i + 3 <= values.size(); i += 3) {
+    rows.push_back({values[i], values[i + 1], values[i + 2]});
+  }
+
+  std::ostringstream expected;
+  expected << "x,y,z\n";
+  expected.precision(12);
+  for (const auto& row : rows) {
+    expected << row[0] << ',' << row[1] << ',' << row[2] << '\n';
+  }
+
+  const std::string path = temp_csv_path("write_format");
+  csv::write(path, header, rows);
+  EXPECT_EQ(slurp(path), expected.str());
+  std::remove(path.c_str());
 }
 
 TEST(Table, RendersAlignedRows) {

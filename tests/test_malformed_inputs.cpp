@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -106,6 +108,79 @@ TEST(MalformedCsv, WriteRejectsBadPathAndRaggedRows) {
   const std::string path = write_temp("write_ragged", "");
   EXPECT_THROW(csv::write(path, {"a", "b"}, {{1.0}}), InvalidArgument);
   std::remove(path.c_str());
+}
+
+// The accepted cell grammar, pinned cell by cell: a cell is accepted iff
+// strtod's grammar (leading whitespace, an optional sign, decimal or hex
+// digits, inf/nan spellings) consumes all of it, the value is finite, and
+// strtod reports no range error (so inexact subnormals are rejected too).
+TEST(MalformedCsv, CellGrammarAccepted) {
+  const std::string long_cell =
+      "0." + std::string(csv::kMaxCellChars - 3, '0') + "5";
+  ASSERT_EQ(long_cell.size(), csv::kMaxCellChars);
+  const std::vector<std::pair<std::string, double>> cases = {
+      {"+1", 1.0},   {" 1.5", 1.5},  {"\t2", 2.0},   {"0x1p3", 8.0},
+      {"-0", -0.0},  {".5", 0.5},    {"5.", 5.0},    {"00.5", 0.5},
+      {"-.5", -0.5}, {"1e+5", 1e5},  {"1E-3", 1e-3}, {long_cell, 5e-62},
+  };
+  for (const auto& [cell, expected] : cases) {
+    std::istringstream in("a\n" + cell + "\n");
+    const csv::Document doc = csv::parse(in, "grammar");
+    ASSERT_EQ(doc.rows.size(), 1u) << cell;
+    const double got = doc.rows[0][0];
+    EXPECT_EQ(got, expected) << "'" << cell << "'";
+    EXPECT_EQ(std::signbit(got), std::signbit(expected))
+        << "'" << cell << "'";
+    EXPECT_EQ(got, std::stod(cell)) << "'" << cell << "'";
+  }
+}
+
+TEST(MalformedCsv, CellGrammarRejectedWithExactMessages) {
+  const std::string long_cell(csv::kMaxCellChars + 1, '1');
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"1e-310", "csv: non-numeric cell '1e-310' in row 2 of grammar"},
+      {"1e-400", "csv: non-numeric cell '1e-400' in row 2 of grammar"},
+      {"1e400", "csv: non-numeric cell '1e400' in row 2 of grammar"},
+      {"-", "csv: non-numeric cell '-' in row 2 of grammar"},
+      {".", "csv: non-numeric cell '.' in row 2 of grammar"},
+      {"1e", "csv: trailing junk in cell '1e' in row 2 of grammar"},
+      {"1.5\r", "csv: trailing junk in cell '1.5\r' in row 2 of grammar"},
+      {"1 ", "csv: trailing junk in cell '1 ' in row 2 of grammar"},
+      {"inf", "csv: non-finite cell 'inf' in row 2 of grammar"},
+      {"-nan", "csv: non-finite cell '-nan' in row 2 of grammar"},
+      {long_cell, "csv: empty or oversized cell in row 2 of grammar"},
+  };
+  for (const auto& [cell, message] : cases) {
+    std::istringstream in("a\n" + cell + "\n");
+    try {
+      (void)csv::parse(in, "grammar");
+      ADD_FAILURE() << "'" << cell << "' was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+}
+
+// Exact messages of the document-level throw sites.
+TEST(MalformedCsv, DocumentErrorsHaveExactMessages) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"", "csv: empty document doc"},
+      {"\n1\n", "csv: empty header in doc"},
+      {"a,b\n1,2\n\n3\n", "csv: ragged row 4 in doc (expected 2 cells)"},
+      {"a\n1,\n", "csv: ragged row 2 in doc (expected 1 cells)"},
+      {"a\n,\n", "csv: empty or oversized cell in row 2 of doc"},
+      {"a,b\n1,x,2\n", "csv: non-numeric cell 'x' in row 2 of doc"},
+      {"a\n1,x\n", "csv: ragged row 2 in doc (expected 1 cells)"},
+  };
+  for (const auto& [content, message] : cases) {
+    std::istringstream in(content);
+    try {
+      (void)csv::parse(in, "doc");
+      ADD_FAILURE() << "accepted: " << content;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
 }
 
 TEST(MalformedCsv, BlankLinesAreSkippedNotRagged) {
