@@ -18,8 +18,9 @@
 //
 // --batch processes every .csv file in the directory (sorted by file name)
 // through the multi-threaded runtime::BatchRunner and prints one summary
-// line per trace; --threads picks the worker count (0 = one per hardware
-// thread). Results are deterministic and independent of the thread count.
+// line per trace; --threads picks the thread count for loading the files
+// and for processing them (0 = one per hardware thread). Results are
+// deterministic and independent of the thread count.
 // With --json the per-trace summaries (name, steps, distance, quality) are
 // written as a JSON object with "traces" and "errors" arrays.
 //
@@ -178,7 +179,8 @@ int run_streaming(const cli::Args& args, const core::PTrackConfig& config,
 
 int run_batch(const cli::Args& args, const core::PTrackConfig& config) {
   const std::string dir = args.get_string("batch");
-  runtime::TraceDirListing listing = runtime::load_trace_dir(dir);
+  const auto threads = static_cast<std::size_t>(args.get_int("threads"));
+  runtime::TraceDirListing listing = runtime::load_trace_dir(dir, threads);
   if (listing.traces.empty() && listing.errors.empty()) {
     std::cerr << "ptrack_cli: no .csv traces in " << dir << "\n";
     write_obs_outputs(args);
@@ -187,10 +189,10 @@ int run_batch(const cli::Args& args, const core::PTrackConfig& config) {
 
   std::vector<imu::Trace> traces;
   traces.reserve(listing.traces.size());
-  for (const auto& nt : listing.traces) traces.push_back(nt.trace);
+  for (auto& nt : listing.traces) traces.push_back(std::move(nt.trace));
 
   runtime::BatchOptions opt;
-  opt.threads = static_cast<std::size_t>(args.get_int("threads"));
+  opt.threads = threads;
   runtime::BatchRunner runner(config, opt);
   const auto results = runner.run(traces);
 
@@ -277,8 +279,9 @@ int run(int argc, char** argv) {
                    "process every .csv in this directory instead of --input",
                    "", false},
                   {"threads",
-                   "batch worker threads (0 = one per hardware thread)", "0",
-                   false},
+                   "threads that load and process a batch (0 = one per "
+                   "hardware thread)",
+                   "0", false},
                   {"arm", "arm length m in metres", "0.70", false},
                   {"leg", "leg length l in metres", "0.90", false},
                   {"k", "Eq. (2) calibration factor", "2.0", false},

@@ -1,4 +1,7 @@
 // Fuzz target: the full trace-ingest path, csv::parse + trace_from_document.
+// imu::load_csv runs the same scanner and the same trace checks, feeding
+// rows to the checks without a Document; tests/test_runtime_batch.cpp
+// replays this corpus through both and requires identical outcomes.
 //
 // Exercises the hostile-input hardening of imu::trace_from_document:
 // non-finite / non-positive / implausible fs, non-monotonic timestamps and

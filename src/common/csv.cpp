@@ -135,19 +135,21 @@ class LineScanner {
 // Cells are split at ',' like std::getline(ss, cell, ',') splits a line: a
 // comma at the very end of a line does not open a final empty cell (the
 // ragged-row check catches that trailing comma instead).
-void parse_header(std::string_view line, Document& doc,
-                  const std::string& name) {
+std::vector<std::string> parse_header(std::string_view line,
+                                      const std::string& name) {
+  std::vector<std::string> header;
   const char* p = line.data();
   const char* const end = p + line.size();
   while (p != end) {
     const char* comma = std::find(p, end, ',');
-    if (doc.header.size() >= kMaxColumns) {
+    if (header.size() >= kMaxColumns) {
       throw Error("csv: too many columns in " + name);
     }
-    doc.header.emplace_back(p, comma);
+    header.emplace_back(p, comma);
     if (comma == end) break;
     p = comma + 1;
   }
+  return header;
 }
 
 Error ragged_row(std::size_t row_number, const std::string& name,
@@ -185,6 +187,39 @@ void parse_row(std::string_view line, std::size_t width,
   }
 }
 
+// The scanner behind parse() and read(): every check and message, with the
+// rows going to `sink`.
+void scan(std::istream& in, const std::string& name, RowSink& sink) {
+  LineScanner scanner(in);
+  std::string_view line;
+  if (!scanner.next(line)) throw Error("csv: empty document " + name);
+  std::vector<std::string> header = parse_header(line, name);
+  if (header.empty()) throw Error("csv: empty header in " + name);
+  const std::size_t width = header.size();
+  sink.header(std::move(header));
+
+  // One row buffer for the whole scan: rows reach the sink as views.
+  std::vector<double> row;
+  row.reserve(width);
+  std::size_t rows = 0;
+  std::size_t row_number = 1;
+  while (scanner.next(line)) {
+    ++row_number;
+    if (line.empty()) continue;
+    if (rows >= kMaxRows) throw Error("csv: too many rows in " + name);
+    ++rows;
+    row.clear();
+    parse_row(line, width, row_number, name, row);
+    sink.row(row);
+  }
+}
+
+std::ifstream open(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("csv::read: cannot open " + path);
+  return in;
+}
+
 }  // namespace
 
 void write(const std::string& path, const std::vector<std::string>& header,
@@ -220,26 +255,17 @@ void write(const std::string& path, const std::vector<std::string>& header,
 }
 
 Document parse(std::istream& in, const std::string& name) {
-  Document doc;
-  LineScanner scanner(in);
-  std::string_view line;
-  if (!scanner.next(line)) throw Error("csv: empty document " + name);
-  parse_header(line, doc, name);
-  if (doc.header.empty()) throw Error("csv: empty header in " + name);
-
-  const std::size_t width = doc.header.size();
-  std::size_t row_number = 1;
-  while (scanner.next(line)) {
-    ++row_number;
-    if (line.empty()) continue;
-    if (doc.rows.size() >= kMaxRows) {
-      throw Error("csv: too many rows in " + name);
+  struct DocumentSink final : RowSink {
+    Document doc;
+    void header(std::vector<std::string> cells) override {
+      doc.header = std::move(cells);
     }
-    std::vector<double> row;
-    row.reserve(width);
-    parse_row(line, width, row_number, name, row);
-    doc.rows.push_back(std::move(row));
-  }
+    void row(std::span<const double> cells) override {
+      doc.rows.emplace_back(cells.begin(), cells.end());
+    }
+  } sink;
+  scan(in, name, sink);
+  Document& doc = sink.doc;
 
   // Parse postcondition relied on by every consumer: rectangular output.
   PTRACK_CHECK_MSG(
@@ -248,12 +274,16 @@ Document parse(std::istream& in, const std::string& name) {
                     return r.size() == doc.header.size();
                   }),
       "csv::parse: document is rectangular");
-  return doc;
+  return std::move(doc);
+}
+
+void read(const std::string& path, RowSink& sink) {
+  std::ifstream in = open(path);
+  scan(in, path, sink);
 }
 
 Document read(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("csv::read: cannot open " + path);
+  std::ifstream in = open(path);
   return parse(in, path);
 }
 

@@ -10,12 +10,16 @@
 // parse() is a single-pass scanner: it reads the stream in fixed
 // kReadChunkBytes chunks, splits lines and cells in place and converts
 // cells with std::from_chars, so memory stays at the Document plus one
-// chunk (and the longest line).
+// chunk (and the longest line). The scanner hands each row to a RowSink:
+// parse() and read() are the sink that keeps every row as a Document, and
+// a caller that converts rows as they arrive (imu::load_csv) passes its
+// own to read(path, sink).
 
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,21 @@ inline constexpr std::size_t kMaxCellChars = 64;
 /// straddles two chunks is carried over to the next one.
 inline constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
+/// Receives a document from the scanner: the header once, then every
+/// non-blank data row in order. A sink that throws aborts the scan with
+/// its exception.
+class RowSink {
+ public:
+  /// The header cells; called once, before any row.
+  virtual void header(std::vector<std::string> cells) = 0;
+  /// One data row of exactly header-width finite cells. The span is valid
+  /// only during the call.
+  virtual void row(std::span<const double> cells) = 0;
+
+ protected:
+  ~RowSink() = default;
+};
+
 /// Writes rows of doubles with a header line. Throws ptrack::Error on I/O
 /// failure.
 void write(const std::string& path, const std::vector<std::string>& header,
@@ -52,5 +71,8 @@ Document parse(std::istream& in, const std::string& name);
 /// Reads a CSV file via parse(); throws ptrack::Error on I/O or parse
 /// failure.
 Document read(const std::string& path);
+
+/// read() into `sink`: the same checks and messages, without a Document.
+void read(const std::string& path, RowSink& sink);
 
 }  // namespace ptrack::csv

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "imu/trace.hpp"
@@ -26,8 +27,11 @@ void save_csv(const Trace& trace, const std::string& path);
 /// must fail here, at the boundary, not deep inside the pipeline.
 Trace trace_from_document(const csv::Document& doc, const std::string& name);
 
-/// Reads a trace written by save_csv(). Throws ptrack::Error on I/O or
-/// format errors (see trace_from_document).
-Trace load_csv(const std::string& path);
+/// Reads a trace written by save_csv(), scanning rows straight into the
+/// trace's samples: the same Trace, or the same ptrack::Error message, as
+/// trace_from_document(csv::read(path), path). The samples are stored in
+/// `storage` (its contents are discarded, its capacity kept), so a caller
+/// can size the allocation on a thread of its choosing.
+Trace load_csv(const std::string& path, std::vector<Sample> storage = {});
 
 }  // namespace ptrack::imu

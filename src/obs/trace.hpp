@@ -11,9 +11,13 @@
 // Exporting (write_chrome_trace) and reset_trace() must only run while
 // span-producing threads are quiescent AND a happens-before edge exists
 // from their last span to the exporting thread — a thread join, or the
-// ThreadPool drain (workers release via the done counter that run()
-// acquires). The CLI exports after BatchRunner::run returned, which
-// satisfies both.
+// Scheduler::parallel_for drain (workers release via the done counter
+// that parallel_for acquires). The CLI exports after BatchRunner::run
+// returned, which satisfies both.
+//
+// A thread's ring outlives the thread, so the events of exited threads
+// (load_trace_dir's executors, say) stay exportable; each thread that ever
+// recorded a span therefore keeps its ring until the process exits.
 //
 // Ring wrap: a thread that produces more than kRingCapacity events between
 // exports overwrites its oldest ones. The exporter re-balances what is

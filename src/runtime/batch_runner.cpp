@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
+#include <fstream>
+#include <new>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "imu/trace_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ptrack::runtime {
 
@@ -28,9 +29,8 @@ namespace {
 std::unique_ptr<Scheduler> make_owned_scheduler(const BatchOptions& opt) {
   if (opt.scheduler != nullptr) return nullptr;
   SchedulerOptions so;
-  // Pool convention carried over from the fork-join era: `threads` counts
-  // the calling thread, the scheduler counts only spawned workers.
-  so.workers = ThreadPool::resolve_threads(opt.threads) - 1;
+  // `threads` counts the calling thread, the scheduler only its workers.
+  so.workers = resolve_threads(opt.threads) - 1;
   // ptrack-lint: allow(alloc) runner construction, amortized over every batch it runs
   return std::make_unique<Scheduler>(so);
 }
@@ -130,35 +130,101 @@ std::vector<TraceResult> BatchRunner::run(
 }
 
 // ptrack-lint: push-allow(alloc) directory loading is IO-bound batch setup, not a steady-state path
-TraceDirListing load_trace_dir(const std::string& dir) {
+namespace {
+
+/// The shortest valid sample row, "0,0,0,0,0,0,0\n": a file of B bytes
+/// holds fewer than B / kMinSampleRowBytes samples.
+constexpr std::size_t kMinSampleRowBytes = 14;
+
+/// Samples to reserve for the file at `path`: enough for every line, never
+/// more than its bytes could hold or the trace layer accepts, so a hostile
+/// file cannot make the reservation outgrow 4x its own size. Reads the file
+/// once through a stack buffer; an unreadable file gets none, and its load
+/// reports why.
+std::size_t sample_reservation(const std::string& path) {
+  std::ifstream in;
+  in.rdbuf()->pubsetbuf(nullptr, 0);  // unbuffered: reads land in `buf`
+  in.open(path, std::ios::binary);
+  if (!in) return 0;
+  std::size_t bytes = 0;
+  std::size_t newlines = 0;
+  char buf[64 * 1024];
+  do {
+    in.read(buf, sizeof buf);
+    const auto got = static_cast<std::size_t>(in.gcount());
+    bytes += got;
+    newlines += static_cast<std::size_t>(std::count(buf, buf + got, '\n'));
+  } while (in);
+  return std::min(
+      {newlines + 1, bytes / kMinSampleRowBytes, imu::kMaxTraceSamples});
+}
+
+}  // namespace
+
+TraceDirListing load_trace_dir(const std::string& dir, std::size_t threads) {
   namespace fs = std::filesystem;
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
     throw Error("load_trace_dir: not a directory: " + dir);
   }
-  std::vector<fs::path> files;
+  std::vector<std::string> paths;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     if (entry.is_regular_file() && entry.path().extension() == ".csv") {
-      files.push_back(entry.path());
+      paths.push_back(entry.path().string());
     }
   }
   if (ec) throw Error("load_trace_dir: cannot read " + dir + ": " + ec.message());
-  std::sort(files.begin(), files.end());
+  // Directory iteration order is filesystem-dependent; sorting is what
+  // makes batch runs reproducible across machines.
+  std::sort(paths.begin(), paths.end());
+  const std::size_t n = paths.size();
+  if (n == 0) return {};
 
-  TraceDirListing out;
-  out.traces.reserve(files.size());
-  for (const fs::path& p : files) {
-    std::string name = p.filename().string();
+  SchedulerOptions so;
+  so.workers = std::min(resolve_threads(threads), n) - 1;
+  Scheduler sched(so);
+
+  // Phase 1: size every file.
+  std::vector<std::size_t> reservation(n);
+  sched.parallel_for(Lane::kThroughput, n, [&](std::size_t i, std::size_t) {
+    reservation[i] = sample_reservation(paths[i]);
+  });
+
+  // The calling thread allocates every trace's samples: blocks a worker
+  // allocated would come from that thread's malloc arena, and glibc keeps
+  // freed memory in per-thread arenas, which inflates the resident set.
+  std::vector<Expected<imu::Trace, std::string>> loaded(n);
+  std::vector<std::vector<imu::Sample>> storage(n);
+  for (std::size_t i = 0; i < n; ++i) {
     try {
-      out.traces.push_back({name, imu::load_csv(p.string())});
-    } catch (const std::exception& e) {
-      PTRACK_COUNT("ptrack.imu.load.errors");
-      out.errors.push_back(
-          {TraceError::Stage::Load, std::move(name), e.what()});
+      storage[i].reserve(reservation[i]);
+    } catch (const std::bad_alloc& e) {
+      loaded[i] = make_unexpected(std::string(e.what()));
     }
   }
-  // Directory iteration order is filesystem-dependent; the sort above is
-  // what makes batch runs reproducible across machines.
+
+  // Phase 2: parse every file into its storage.
+  sched.parallel_for(Lane::kThroughput, n, [&](std::size_t i, std::size_t) {
+    if (!loaded[i].has_value()) return;
+    try {
+      loaded[i] = imu::load_csv(paths[i], std::move(storage[i]));
+    } catch (const std::exception& e) {
+      loaded[i] = make_unexpected(std::string(e.what()));
+    }
+  });
+
+  TraceDirListing out;
+  out.traces.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string name = fs::path(paths[i]).filename().string();
+    if (loaded[i].has_value()) {
+      out.traces.push_back({std::move(name), std::move(loaded[i]).value()});
+    } else {
+      PTRACK_COUNT("ptrack.imu.load.errors");
+      out.errors.push_back(
+          {TraceError::Stage::Load, std::move(name), loaded[i].error()});
+    }
+  }
   PTRACK_CHECK_MSG(std::is_sorted(out.traces.begin(), out.traces.end(),
                                   [](const NamedTrace& a, const NamedTrace& b) {
                                     return a.name < b.name;

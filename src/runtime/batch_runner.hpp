@@ -114,6 +114,11 @@ struct TraceDirListing {
 /// malformed files are collected into `errors` instead of aborting the
 /// batch. Throws ptrack::Error only when the directory itself cannot be
 /// read.
-TraceDirListing load_trace_dir(const std::string& dir);
+///
+/// Files are parsed in parallel on min(`threads`, files) executors, the
+/// calling thread included (`threads` as in BatchOptions: 0 = one per
+/// hardware thread). The listing is the same at every thread count.
+TraceDirListing load_trace_dir(const std::string& dir,
+                               std::size_t threads = 0);
 
 }  // namespace ptrack::runtime

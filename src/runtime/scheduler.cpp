@@ -36,6 +36,12 @@ constexpr std::size_t kStealMax = 16;
 
 }  // namespace
 
+std::size_t resolve_threads(std::size_t requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
 struct Scheduler::ParallelJob {
   Scheduler* sched = nullptr;
   const TaskFn* fn = nullptr;
@@ -384,9 +390,12 @@ void Scheduler::claimer_trampoline(void* ctx, std::size_t executor,
     }
   }
   // This claimer dies (index space consumed). The job may only be
-  // reclaimed once outstanding hits zero.
+  // reclaimed once outstanding hits zero, and the caller reads that under
+  // job.mu: decrementing under the same lock keeps the caller from
+  // returning (and the job's frame from being reused) before this claimer
+  // has stopped touching the job.
+  std::lock_guard<std::mutex> lk(job.mu);
   if (job.outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lk(job.mu);
     job.cv.notify_all();
   }
 }

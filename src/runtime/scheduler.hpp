@@ -49,6 +49,11 @@
 
 namespace ptrack::runtime {
 
+/// Executors to use for `requested` (0 = one per hardware thread). Counts
+/// the calling thread, so a Scheduler for it has the result minus one
+/// workers.
+[[nodiscard]] std::size_t resolve_threads(std::size_t requested);
+
 /// "No placement preference" for submit(); the task round-robins.
 inline constexpr std::uint64_t kNoAffinity = ~std::uint64_t{0};
 

@@ -1,23 +1,27 @@
-// Runtime tests: the thread pool runs every task exactly once and
-// propagates failures, and BatchRunner is deterministic — the same batch
-// produces bit-identical TrackResults at 1 and 8 worker threads, in input
-// order, matching a direct single-threaded PTrack run. Fault isolation:
-// a trace that throws in the pipeline or a CSV that fails to parse is
-// reported in its own slot and the rest of the batch still completes.
+// Runtime tests: BatchRunner is deterministic — the same batch produces
+// bit-identical TrackResults at 1 and 8 worker threads, in input order,
+// matching a direct single-threaded PTrack run. Fault isolation: a trace
+// that throws in the pipeline or a CSV that fails to parse is reported in
+// its own slot and the rest of the batch still completes. The parallel
+// trace loader gives the same listing at every thread count, and
+// imu::load_csv's row scanner agrees with the Document path file by file.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/alloc_hooks.hpp"
+#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "core/ptrack.hpp"
 #include "imu/trace_io.hpp"
 #include "runtime/batch_runner.hpp"
-#include "runtime/thread_pool.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
@@ -63,57 +67,9 @@ void expect_identical(const core::TrackResult& a, const core::TrackResult& b) {
 
 }  // namespace
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  runtime::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-
-  const std::size_t n_tasks = 100;  // far more tasks than workers
-  std::vector<std::atomic<int>> hits(n_tasks);
-  pool.run(n_tasks, [&](std::size_t task, std::size_t worker) {
-    ASSERT_LT(task, n_tasks);
-    ASSERT_LT(worker, pool.size());
-    hits[task].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < n_tasks; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPool, SingleThreadRunsInline) {
-  runtime::ThreadPool pool(1);
-  const auto main_id = std::this_thread::get_id();
-  pool.run(10, [&](std::size_t, std::size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), main_id);
-  });
-}
-
-TEST(ThreadPool, ReusableAcrossRuns) {
-  runtime::ThreadPool pool(3);
-  for (int round = 0; round < 5; ++round) {
-    std::atomic<std::size_t> total{0};
-    pool.run(17, [&](std::size_t task, std::size_t) {
-      total.fetch_add(task + 1);
-    });
-    EXPECT_EQ(total.load(), 17u * 18u / 2u);
-  }
-}
-
-TEST(ThreadPool, PropagatesTaskException) {
-  runtime::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.run(50,
-               [&](std::size_t task, std::size_t) {
-                 if (task == 23) throw std::runtime_error("task 23 failed");
-               }),
-      std::runtime_error);
-  // The pool must remain usable after a failed run.
-  std::atomic<int> ok{0};
-  pool.run(8, [&](std::size_t, std::size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 8);
-}
-
-TEST(ThreadPool, ResolveThreads) {
-  EXPECT_EQ(runtime::ThreadPool::resolve_threads(3), 3u);
-  EXPECT_GE(runtime::ThreadPool::resolve_threads(0), 1u);
+TEST(ResolveThreads, ZeroMeansOnePerHardwareThread) {
+  EXPECT_EQ(runtime::resolve_threads(3), 3u);
+  EXPECT_GE(runtime::resolve_threads(0), 1u);
 }
 
 TEST(BatchRunner, MatchesDirectPipelineInInputOrder) {
@@ -273,4 +229,216 @@ TEST(LoadTraceDir, CollectsCorruptFilesInsteadOfAborting) {
 
 TEST(LoadTraceDir, MissingDirectoryThrows) {
   EXPECT_THROW(runtime::load_trace_dir("/nonexistent/ptrack/dir"), Error);
+}
+
+namespace {
+
+namespace fs = std::filesystem;
+
+fs::path fresh_dir(const char* name) {
+  const fs::path dir = fs::temp_directory_path() / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+void write_file(const fs::path& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.string().c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+  std::fclose(f);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_trace(const imu::Trace& a, const imu::Trace& b,
+                       const std::string& label) {
+  EXPECT_TRUE(same_bits(a.fs(), b.fs())) << label;
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const imu::Sample& x = a[i];
+    const imu::Sample& y = b[i];
+    ASSERT_TRUE(same_bits(x.t, y.t) && same_bits(x.accel.x, y.accel.x) &&
+                same_bits(x.accel.y, y.accel.y) &&
+                same_bits(x.accel.z, y.accel.z) &&
+                same_bits(x.gyro.x, y.gyro.x) &&
+                same_bits(x.gyro.y, y.gyro.y) && same_bits(x.gyro.z, y.gyro.z))
+        << label << " sample " << i;
+  }
+}
+
+/// A load's outcome: the trace, or the message it failed with.
+struct Outcome {
+  imu::Trace trace;
+  std::string error;
+};
+
+template <typename Load>
+Outcome outcome_of(Load&& load) {
+  Outcome out;
+  try {
+    out.trace = load();
+  } catch (const Error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// imu::load_csv must give the same Trace, or the same message, as the
+/// Document path; also when handed storage that already holds samples.
+void expect_load_paths_agree(const std::string& path) {
+  const Outcome doc = outcome_of(
+      [&] { return imu::trace_from_document(csv::read(path), path); });
+  const Outcome scan = outcome_of([&] { return imu::load_csv(path); });
+  EXPECT_EQ(scan.error, doc.error) << path;
+  expect_same_trace(scan.trace, doc.trace, path);
+
+  std::vector<imu::Sample> used(3);
+  used[1].t = 42.0;
+  const Outcome reused =
+      outcome_of([&] { return imu::load_csv(path, std::move(used)); });
+  EXPECT_EQ(reused.error, doc.error) << path;
+  expect_same_trace(reused.trace, doc.trace, path);
+}
+
+}  // namespace
+
+TEST(LoadTraceDir, ListingIsIdenticalAtOneAndFourThreads) {
+  const fs::path dir = fresh_dir("ptrack_test_parallel_load_dir");
+  // More files than executors, good ones mixed with the corrupt shapes of
+  // CollectsCorruptFilesInsteadOfAborting and a trace-level failure.
+  const auto traces = make_batch(7);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    imu::save_csv(traces[i],
+                  (dir / ("g" + std::to_string(i) + "_good.csv")).string());
+  }
+  write_file(dir / "b_garbage.csv", "this,is,not\na,trace,file\n");
+  write_file(dir / "c_truncated.csv",
+             "t,ax,ay,az,gx,gy,gz\n100,0,0,0,0,0,0\n"
+             "0,0,0,9.81,0,0,0\n0.01,0,0");
+  write_file(dir / "e_empty.csv", "");
+  write_file(dir / "f_backwards.csv",
+             "t,ax,ay,az,gx,gy,gz\n100,0,0,0,0,0,0\n"
+             "0.02,0,0,9.81,0,0,0\n\n0.01,0,0,9.81,0,0,0\n");
+
+  const auto serial = runtime::load_trace_dir(dir.string(), 1);
+  const auto wide = runtime::load_trace_dir(dir.string(), 4);
+  ASSERT_EQ(serial.traces.size(), traces.size());
+  ASSERT_EQ(wide.traces.size(), serial.traces.size());
+  for (std::size_t i = 0; i < serial.traces.size(); ++i) {
+    EXPECT_EQ(wide.traces[i].name, serial.traces[i].name);
+    expect_same_trace(wide.traces[i].trace, serial.traces[i].trace,
+                      serial.traces[i].name);
+  }
+  ASSERT_EQ(serial.errors.size(), 4u);
+  ASSERT_EQ(wide.errors.size(), serial.errors.size());
+  const char* const bad[] = {"b_garbage.csv", "c_truncated.csv",
+                             "e_empty.csv", "f_backwards.csv"};
+  for (std::size_t i = 0; i < serial.errors.size(); ++i) {
+    EXPECT_EQ(serial.errors[i].trace, bad[i]);
+    EXPECT_EQ(wide.errors[i].trace, serial.errors[i].trace);
+    EXPECT_EQ(wide.errors[i].stage, runtime::TraceError::Stage::Load);
+    EXPECT_EQ(wide.errors[i].message, serial.errors[i].message);
+  }
+  // Each file's outcome is the one a direct load gives.
+  for (const auto& nt : wide.traces) {
+    expect_same_trace(nt.trace, imu::load_csv((dir / nt.name).string()),
+                      nt.name);
+  }
+  EXPECT_EQ(wide.errors[3].message,
+            "trace_from_document: non-monotonic timestamp in row 3 of " +
+                (dir / "f_backwards.csv").string());
+
+  fs::remove_all(dir);
+}
+
+TEST(LoadCsv, MatchesDocumentPathOnEveryFuzzCorpusFile) {
+  std::size_t files = 0;
+  for (const char* sub : {"imu", "csv"}) {
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(PTRACK_FUZZ_CORPUS_DIR) / sub)) {
+      expect_load_paths_agree(entry.path().string());
+      ++files;
+    }
+  }
+  EXPECT_GE(files, 30u);
+}
+
+TEST(LoadCsv, KeepsDocumentRowNumbersAndErrorPrecedence) {
+  const fs::path dir = fresh_dir("ptrack_test_load_csv_cases");
+  const std::string header = "t,ax,ay,az,gx,gy,gz\n";
+  const std::string meta = "100,0,0,0,0,0,0\n";
+  struct Case {
+    const char* file;
+    std::string text;
+    std::string message;  ///< prefix; the path follows
+  };
+  const std::vector<Case> cases = {
+      // Blank lines do not count: the bad row is the third data row.
+      {"blank_then_backwards.csv",
+       header + meta + "\n\n0.02,0,0,9.8,0,0,0\n\n0.01,0,0,9.8,0,0,0\n",
+       "trace_from_document: non-monotonic timestamp in row 3 of "},
+      // A csv error later in the file wins over an earlier trace error.
+      {"backwards_then_junk.csv",
+       header + meta + "0.02,0,0,9.8,0,0,0\n0.01,0,0,9.8,0,0,0\nx,0,0,0,0,0,0\n",
+       "csv: non-numeric cell 'x' in row 5 of "},
+      {"bad_header_then_ragged.csv", "t,ax\n100,0\n1,2,3\n",
+       "csv: ragged row 3 in "},
+      // Among trace errors the header still comes first.
+      {"bad_header_backwards.csv", "t,ax\n100,0\n2,0\n1,0\n",
+       "trace_from_document: unexpected header in "},
+  };
+  for (const Case& c : cases) {
+    const std::string path = (dir / c.file).string();
+    write_file(path, c.text);
+    expect_load_paths_agree(path);
+    const Outcome scan = outcome_of([&] { return imu::load_csv(path); });
+    EXPECT_EQ(scan.error.rfind(c.message + path, 0), 0u)
+        << c.file << ": " << scan.error;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(LoadTraceDir, HostileLineCountsCannotInflateTheReservation) {
+  if (!alloc::hooks_enabled()) GTEST_SKIP() << "allocation hooks compiled out";
+  constexpr std::size_t kBytes = 1 << 20;
+  struct Case {
+    const char* dir;
+    std::string text;
+    const char* message;  ///< prefix; the path follows
+  };
+  std::string ones;
+  for (std::size_t i = 0; i < kBytes / 2; ++i) ones += "1\n";
+  {  // One load first, so the calling thread's one-time setup (its obs
+     // span ring) is not counted against the hostile files.
+    const fs::path warm = fresh_dir("ptrack_test_reserve_warmup");
+    imu::save_csv(make_poison_trace(), (warm / "warm.csv").string());
+    ASSERT_EQ(runtime::load_trace_dir(warm.string()).traces.size(), 1u);
+    fs::remove_all(warm);
+  }
+  const std::vector<Case> cases = {
+      {"ptrack_test_reserve_newlines", std::string(kBytes, '\n'),
+       "csv: empty header in "},
+      {"ptrack_test_reserve_ones", ones,
+       "trace_from_document: unexpected header in "},
+  };
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.text.size(), kBytes);
+    const fs::path dir = fresh_dir(c.dir);
+    const std::string path = (dir / "hostile.csv").string();
+    write_file(path, c.text);
+
+    const alloc::ThreadStats before = alloc::thread_stats();
+    const auto listing = runtime::load_trace_dir(dir.string());
+    const alloc::ThreadStats after = alloc::thread_stats();
+
+    EXPECT_TRUE(listing.traces.empty());
+    ASSERT_EQ(listing.errors.size(), 1u);
+    EXPECT_EQ(listing.errors[0].message, c.message + path);
+    expect_load_paths_agree(path);
+    EXPECT_LE(after.bytes - before.bytes, 4 * kBytes + 256 * 1024) << c.dir;
+    fs::remove_all(dir);
+  }
 }

@@ -311,6 +311,21 @@ TEST(Scheduler, ConcurrentParallelForCallersShareTheWorkers) {
   }
 }
 
+// parallel_for's job lives in the caller's frame, and the next call puts
+// its job in the same place: a claimer must be done with the job before
+// the call that owns it returns. Under TSan a late touch is a report.
+TEST(Scheduler, BackToBackParallelForsDoNotTouchAFinishedJob) {
+  Scheduler sched(opts(3));
+  std::atomic<std::size_t> total{0};
+  constexpr std::size_t kRounds = 20000;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    sched.parallel_for(Lane::kThroughput, 4, [&](std::size_t, std::size_t) {
+      total.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(total.load(), 4 * kRounds);
+}
+
 TEST(Scheduler, SubmissionIsAllocationFreeAfterWarmup) {
   Scheduler sched(opts(2));
   // Warm-up: registers the obs handles (function-local statics) and sizes
