@@ -37,6 +37,7 @@
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "common/json.hpp"
 #include "core/streaming.hpp"
 #include "dsp/simd.hpp"
@@ -55,15 +56,6 @@ struct ArmResult {
   double streams_per_core = 0.0;
   std::size_t steps = 0;
 };
-
-double percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(v.size() - 1) + 0.5);
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
-                   v.end());
-  return v[idx];
-}
 
 /// Replays the trace through one tracker configuration `repeats` times,
 /// timing every hop-triggering push; keeps the per-hop distribution of the
@@ -103,9 +95,11 @@ ArmResult run_arm(const std::string& name, const imu::Trace& trace,
       r.hop_mean_us = hop_us.empty()
                           ? 0.0
                           : sum / static_cast<double>(hop_us.size());
-      r.hop_p50_us = percentile(hop_us, 0.50);
-      r.hop_p90_us = percentile(hop_us, 0.90);
-      r.hop_p99_us = percentile(hop_us, 0.99);
+      if (!hop_us.empty()) {
+        r.hop_p50_us = stats::percentile(hop_us, 50.0);
+        r.hop_p90_us = stats::percentile(hop_us, 90.0);
+        r.hop_p99_us = stats::percentile(hop_us, 99.0);
+      }
       r.streams_per_core = trace.duration() / total_s;
       r.steps = stream.steps();
       best = r;

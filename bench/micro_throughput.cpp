@@ -93,9 +93,10 @@ BENCHMARK(BM_ButterworthFiltfiltWorkspace);
 
 // SIMD micro-kernels, arg 0 = forced scalar fallback, arg 1 = detected ISA:
 // the kernel-level record of the vector win in BENCH_throughput.json. The
-// 3-channel lane-parallel gravity filter is the per-hop dominant cost
-// (estimate_up over the 20 s axis window), so it gets scalar/vector arms in
-// both precisions; axis_project is the widest pure-map kernel.
+// 3-channel lane-parallel gravity filter is estimate_up's cost on the batch
+// and unpinned paths, so it gets scalar/vector arms in both precisions;
+// BM_AxisEstimator is what a streaming hop pays for the same 20 s window
+// instead; axis_project is the widest pure-map kernel.
 void BM_FiltfiltMulti3(benchmark::State& state) {
   const auto xs = walking_minute().trace.accel_magnitude();
   const std::size_t n = 2000;
@@ -137,6 +138,24 @@ void BM_FiltfiltMulti3F32(benchmark::State& state) {
                           static_cast<int64_t>(3 * n));
 }
 BENCHMARK(BM_FiltfiltMulti3F32)->ArgName("simd")->Arg(0)->Arg(1);
+
+void BM_AxisEstimator(benchmark::State& state) {
+  const auto xs = walking_minute().trace.accel_magnitude();
+  const std::size_t n = 2000;
+  const std::span<const double> x(xs.data(), n);
+  const std::span<const double> y(xs.data() + n, n);
+  const std::span<const double> z(xs.data() + 2 * n, n);
+  dsp::AxisEstimator est(100.0, n);
+  dsp::simd::force_isa(state.range(0) != 0 ? dsp::simd::detected()
+                                           : dsp::simd::Isa::kScalar);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(est.estimate(x, y, z));
+  }
+  dsp::simd::force_isa(dsp::simd::detected());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(3 * n));
+}
+BENCHMARK(BM_AxisEstimator)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_AxisProject(benchmark::State& state) {
   const auto xs = walking_minute().trace.accel_magnitude();

@@ -316,17 +316,13 @@ void project_channels_into(std::span<const double> ax,
                            std::span<const double> az, double fs,
                            double lowpass_hz, double anterior_window_s,
                            std::span<const Vec3> ups, dsp::Workspace* ws,
-                           ProjectionSeam* seam, const AxisHistory& axes,
-                           ProjectedTrace& out) {
+                           ProjectionSeam* seam,
+                           const dsp::WindowAxes* pinned, ProjectedTrace& out) {
   expects(ax.size() >= 16, "project_channels: >= 16 samples");
   expects(ax.size() == ay.size() && ay.size() == az.size(),
           "project_channels: equal channel lengths");
   expects(ups.empty() || ups.size() == ax.size(),
           "project_channels: ups empty or one per sample");
-  expects(axes.empty() ||
-              (axes.ax.size() == axes.ay.size() &&
-               axes.ay.size() == axes.az.size() && axes.ax.size() >= 16),
-          "project_channels: axis spans equal-length and >= 16 samples");
   expects(fs > 0.0, "project_channels: fs > 0");
   expects(lowpass_hz > 0.0, "project_channels: lowpass_hz > 0");
   PTRACK_OBS_SPAN("ptrack.core.project");
@@ -334,32 +330,17 @@ void project_channels_into(std::span<const double> ax,
   const SoaForces forces{ax, ay, az};
   Vec3 local_seam{};
   Vec3& seam_dir = seam ? seam->prev_anterior_dir : local_seam;
-  if (!axes.empty()) {
-    // Axes pinned to the wider history: up from the history's gravity
-    // estimate (unless a per-sample track is supplied), anterior principal
-    // direction from the history's horizontal residual.
-    const Vec3 up = ups.empty() ? dsp::estimate_up(axes.ax, axes.ay, axes.az,
-                                                   fs, 0.3, ws)
-                                : UpField(ups).window_mean(0, ups.size());
-    const Vec3 dir =
-        dsp::principal_horizontal_direction(axes.ax, axes.ay, axes.az, up);
-    if (ups.empty()) {
-      project_common_into(forces, fs, lowpass_hz, anterior_window_s,
-                          UpField(up), ws, seam_dir, &dir, out);
-      return;
-    }
+  const Vec3* fixed_dir = pinned ? &pinned->forward : nullptr;
+  if (!ups.empty()) {
     project_common_into(forces, fs, lowpass_hz, anterior_window_s,
-                        UpField(ups), ws, seam_dir, &dir, out);
+                        UpField(ups), ws, seam_dir, fixed_dir, out);
     return;
   }
-  if (ups.empty()) {
-    const Vec3 up = dsp::estimate_up(ax, ay, az, fs, 0.3, ws);
-    project_common_into(forces, fs, lowpass_hz, anterior_window_s, UpField(up),
-                        ws, seam_dir, nullptr, out);
-    return;
-  }
-  project_common_into(forces, fs, lowpass_hz, anterior_window_s, UpField(ups),
-                      ws, seam_dir, nullptr, out);
+  const Vec3 up = pinned ? pinned->up
+                         : dsp::estimate_up(ax, ay, az, fs,
+                                            dsp::kGravityCutoffHz, ws);
+  project_common_into(forces, fs, lowpass_hz, anterior_window_s, UpField(up),
+                      ws, seam_dir, fixed_dir, out);
 }
 
 ProjectedTrace project_channels(std::span<const double> ax,
@@ -367,10 +348,11 @@ ProjectedTrace project_channels(std::span<const double> ax,
                                 std::span<const double> az, double fs,
                                 double lowpass_hz, double anterior_window_s,
                                 std::span<const Vec3> ups, dsp::Workspace* ws,
-                                ProjectionSeam* seam, const AxisHistory& axes) {
+                                ProjectionSeam* seam,
+                                const dsp::WindowAxes* pinned) {
   ProjectedTrace out;
   project_channels_into(ax, ay, az, fs, lowpass_hz, anterior_window_s, ups, ws,
-                        seam, axes, out);
+                        seam, pinned, out);
   return out;
 }
 
@@ -379,23 +361,19 @@ void project_channels_f32_into(std::span<const float> ax,
                                std::span<const float> az, double fs,
                                double lowpass_hz, double anterior_window_s,
                                dsp::Workspace& ws, ProjectionSeam* seam,
-                               const AxisHistoryF& axes, ProjectedTraceF& out) {
+                               const dsp::WindowAxes* pinned,
+                               ProjectedTraceF& out) {
   expects(ax.size() >= 16, "project_channels_f32: >= 16 samples");
   expects(ax.size() == ay.size() && ay.size() == az.size(),
           "project_channels_f32: equal channel lengths");
-  expects(axes.empty() ||
-              (axes.ax.size() == axes.ay.size() &&
-               axes.ay.size() == axes.az.size() && axes.ax.size() >= 16),
-          "project_channels_f32: axis spans equal-length and >= 16 samples");
   expects(fs > 0.0, "project_channels_f32: fs > 0");
   expects(lowpass_hz > 0.0, "project_channels_f32: lowpass_hz > 0");
   PTRACK_OBS_SPAN("ptrack.core.project");
   PTRACK_COUNT("ptrack.core.projections");
 
-  const std::span<const float> hx = axes.empty() ? ax : axes.ax;
-  const std::span<const float> hy = axes.empty() ? ay : axes.ay;
-  const std::span<const float> hz = axes.empty() ? az : axes.az;
-  const Vec3 up = estimate_up_f32(hx, hy, hz, fs, 0.3, ws);
+  const Vec3 up =
+      pinned ? pinned->up
+             : estimate_up_f32(ax, ay, az, fs, dsp::kGravityCutoffHz, ws);
 
   Vec3 local_seam{};
   Vec3& seam_dir = seam ? seam->prev_anterior_dir : local_seam;
@@ -425,10 +403,8 @@ void project_channels_f32_into(std::span<const float> ax,
         std::span<float>(anterior).subspan(begin, count));
   };
 
-  if (!axes.empty()) {
-    // Axes pinned to the wider history: one fixed anterior direction.
-    const Vec3 dir = principal_horizontal_f32(hx, hy, hz, up, ws);
-    project_range(0, n, &dir);
+  if (pinned) {
+    project_range(0, n, &pinned->forward);
   } else if (anterior_window_s <= 0.0) {
     project_range(0, n, nullptr);
   } else {
@@ -463,10 +439,10 @@ ProjectedTraceF project_channels_f32(std::span<const float> ax,
                                      double anterior_window_s,
                                      dsp::Workspace& ws,
                                      ProjectionSeam* seam,
-                                     const AxisHistoryF& axes) {
+                                     const dsp::WindowAxes* pinned) {
   ProjectedTraceF out;
   project_channels_f32_into(ax, ay, az, fs, lowpass_hz, anterior_window_s, ws,
-                            seam, axes, out);
+                            seam, pinned, out);
   return out;
 }
 

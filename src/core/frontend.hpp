@@ -53,20 +53,6 @@ struct ProjectionSeam {
   Vec3 prev_anterior_dir{};
 };
 
-/// Optional wider raw-history spans for projection-axis estimation. The
-/// batch projection estimates the up direction and the anterior principal
-/// direction from the span it projects; an incremental pipeline projects
-/// only a short tail per hop, and axes fit to that tail wander with local
-/// gestures. Passing the last N seconds of raw history here pins the axes
-/// to that longer window instead (the projected span itself is unchanged).
-/// Empty means "estimate from the projected span" — the batch behaviour.
-struct AxisHistory {
-  std::span<const double> ax;
-  std::span<const double> ay;
-  std::span<const double> az;
-  [[nodiscard]] bool empty() const { return ax.empty(); }
-};
-
 /// Structure-of-arrays projection over raw channel spans (e.g. views into
 /// an imu::SampleRing) — no Trace or AoS materialization. Semantics match
 /// project_trace bit-for-bit when `ups` is empty and `seam` is null.
@@ -75,9 +61,13 @@ struct AxisHistory {
 /// it must be empty or exactly ax.size() long. When empty, the up
 /// direction is the batch gravity estimate over the spans.
 ///
-/// `axes` (optional) supplies wider history spans for axis estimation;
-/// see AxisHistory. With per-sample `ups` the up track is used as given
-/// and `axes` only pins the anterior principal direction.
+/// `pinned` (optional) fixes the axes: a unit up and a unit anterior
+/// direction. Axes fit to the short tail an incremental pipeline
+/// re-projects each hop wander with local gestures, so the streaming
+/// projection stage fits them to a longer raw history
+/// (dsp::AxisEstimator) and pins them here. Null means "estimate from the
+/// projected span", the batch behaviour. With per-sample `ups` the up
+/// track is used as given and only `pinned->forward` applies.
 ProjectedTrace project_channels(std::span<const double> ax,
                                 std::span<const double> ay,
                                 std::span<const double> az, double fs,
@@ -86,7 +76,7 @@ ProjectedTrace project_channels(std::span<const double> ax,
                                 std::span<const Vec3> ups = {},
                                 dsp::Workspace* ws = nullptr,
                                 ProjectionSeam* seam = nullptr,
-                                const AxisHistory& axes = {});
+                                const dsp::WindowAxes* pinned = nullptr);
 
 /// Reuse-friendly form of project_channels: fills `out` in place (resizing
 /// its channels), so a caller that keeps one ProjectedTrace across hops
@@ -97,22 +87,14 @@ void project_channels_into(std::span<const double> ax,
                            std::span<const double> az, double fs,
                            double lowpass_hz, double anterior_window_s,
                            std::span<const Vec3> ups, dsp::Workspace* ws,
-                           ProjectionSeam* seam, const AxisHistory& axes,
-                           ProjectedTrace& out);
+                           ProjectionSeam* seam,
+                           const dsp::WindowAxes* pinned, ProjectedTrace& out);
 
 /// Float32 projection results (see project_channels_f32).
 struct ProjectedTraceF {
   std::vector<float> vertical;
   std::vector<float> anterior;
   double fs = 0.0;
-};
-
-/// Float32 mirror of AxisHistory.
-struct AxisHistoryF {
-  std::span<const float> ax;
-  std::span<const float> ay;
-  std::span<const float> az;
-  [[nodiscard]] bool empty() const { return ax.empty(); }
 };
 
 /// Float32 fast-path projection over float channel spans (e.g. the
@@ -123,6 +105,7 @@ struct AxisHistoryF {
 /// memory traffic). Axis *directions* are still reduced in double: they are
 /// three numbers whose error multiplies every sample. No attitude-filter
 /// (per-sample ups) variant: callers needing it stay on the double path.
+/// `pinned` (optional) fixes both axes, as in project_channels.
 /// Divergence from the double pipeline is bounded by float rounding in the
 /// projections and filters; tests/test_streaming_f32.cpp gates it against
 /// the batch-double oracle.
@@ -133,7 +116,7 @@ ProjectedTraceF project_channels_f32(std::span<const float> ax,
                                      double anterior_window_s,
                                      dsp::Workspace& ws,
                                      ProjectionSeam* seam = nullptr,
-                                     const AxisHistoryF& axes = {});
+                                     const dsp::WindowAxes* pinned = nullptr);
 
 /// Reuse-friendly float32 form: fills `out` in place (see
 /// project_channels_into).
@@ -142,6 +125,7 @@ void project_channels_f32_into(std::span<const float> ax,
                                std::span<const float> az, double fs,
                                double lowpass_hz, double anterior_window_s,
                                dsp::Workspace& ws, ProjectionSeam* seam,
-                               const AxisHistoryF& axes, ProjectedTraceF& out);
+                               const dsp::WindowAxes* pinned,
+                               ProjectedTraceF& out);
 
 }  // namespace ptrack::core

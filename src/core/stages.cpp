@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/check.hpp"
@@ -32,7 +33,8 @@ ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
       precision_(precision),
       ctx_(seconds_to_samples(kProjectionCtxS, fs)),
       margin_(seconds_to_samples(kProjectionMarginS, fs)),
-      axis_window_(seconds_to_samples(kProjectionAxisWindowS, fs)) {
+      axis_window_(seconds_to_samples(kProjectionAxisWindowS, fs)),
+      axes_(fs, axis_window_) {
   expects(fs > 0.0, "ProjectionStage: fs > 0");
   expects(precision == Precision::kDouble || !cfg.use_attitude_filter,
           "ProjectionStage: float32 precision has no attitude-filter path");
@@ -71,18 +73,15 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
       // so it keeps the span-local fit.
       std::size_t axis_begin = end > axis_window_ ? end - axis_window_ : 0;
       axis_begin = std::max(axis_begin, ring.base());
-      const bool pin_axes =
-          cfg_.anterior_window_s <= 0.0 && axis_begin < begin;
+      std::optional<dsp::WindowAxes> pinned;
+      if (cfg_.anterior_window_s <= 0.0 && axis_begin < begin) {
+        pinned = pin_axes(ring, axis_begin, begin, end);
+      }
+      const dsp::WindowAxes* axes = pinned ? &*pinned : nullptr;
       if (precision_ == Precision::kFloat32) {
         // f32 fast path: project the ring's float mirrors, widen the
         // finalized tail back into the double rings. Downstream stages are
         // precision-blind.
-        AxisHistoryF axes{};
-        if (pin_axes) {
-          axes = AxisHistoryF{ring.axf(axis_begin, end),
-                              ring.ayf(axis_begin, end),
-                              ring.azf(axis_begin, end)};
-        }
         project_channels_f32_into(
             ring.axf(begin, end), ring.ayf(begin, end), ring.azf(begin, end),
             fs_, cfg_.lowpass_hz, cfg_.anterior_window_s, *ws_, &seam_, axes,
@@ -92,11 +91,6 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
           ant_.push(static_cast<double>(projf_.anterior[i - begin]));
         }
       } else {
-        AxisHistory axes{};
-        if (pin_axes) {
-          axes = AxisHistory{ring.ax(axis_begin, end), ring.ay(axis_begin, end),
-                             ring.az(axis_begin, end)};
-        }
         project_channels_into(
             ring.ax(begin, end), ring.ay(begin, end), ring.az(begin, end), fs_,
             cfg_.lowpass_hz, cfg_.anterior_window_s,
@@ -111,6 +105,23 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
     }
   }
   if (cfg_.use_attitude_filter) ups_.trim_to(min_required());
+}
+
+dsp::WindowAxes ProjectionStage::pin_axes(const imu::SampleRing& ring,
+                                          std::size_t axis_begin,
+                                          std::size_t begin, std::size_t end) {
+  PTRACK_CHECK_MSG(axis_begin < begin && begin < end,
+                   "ProjectionStage: axis history reaches behind the span");
+  const auto hx = ring.ax(axis_begin, end);
+  const auto hy = ring.ay(axis_begin, end);
+  const auto hz = ring.az(axis_begin, end);
+  if (!cfg_.use_attitude_filter) return axes_.estimate(hx, hy, hz);
+  // Attitude mode keeps its per-sample up track; only the anterior
+  // direction is pinned, fit against the track's mean over the span.
+  Vec3 up{};
+  for (const Vec3& u : ups_.span(begin, end)) up += u;
+  up = up.normalized();
+  return {up, dsp::AxisEstimator::forward(hx, hy, hz, up)};
 }
 
 std::size_t ProjectionStage::min_required() const {

@@ -66,9 +66,11 @@ inline constexpr double kProjectionMarginS = 2.5;
 /// short per-hop re-projection span wander with local gestures (and flip
 /// borderline offset tests); 20 s matches the legacy recompute window, so
 /// the incremental mode's axis stability is no worse than the sliding
-/// window it replaced. A batch flush spans the whole trace in one region,
-/// where the history and the projected span coincide and the axes reduce
-/// to the batch estimate exactly.
+/// window it replaced. A hop pins the axes with dsp::AxisEstimator's
+/// closed form, O(window) dot and moment sums over the history with no
+/// filtering (DESIGN.md §14), so the window's length costs those sums, not
+/// a zero-phase filter. A batch flush spans the whole trace in one region,
+/// never pins, and takes the batch estimate exactly.
 inline constexpr double kProjectionAxisWindowS = 20.0;
 inline constexpr double kSegmentationLookbackS = 5.0;
 inline constexpr double kSegmentationMarginS = 1.8;
@@ -78,10 +80,11 @@ inline constexpr double kSegmentationMarginS = 1.8;
 /// routes the per-sample projection and filtering passes through the f32
 /// SIMD kernels (project_channels_f32: twice the lane width, half the
 /// memory traffic) and widens the finalized channels back to the double
-/// rings, so every stage downstream of projection is unchanged. Requires a
-/// SampleRing with enable_f32() and a workspace; incompatible with the
-/// attitude-filter path (which stays double-only). Divergence from kDouble
-/// is bounded by float rounding (tests/test_streaming_f32.cpp).
+/// rings, so every stage downstream of projection is unchanged. Pinned
+/// hop axes come from the ring's double channels at either precision.
+/// Requires a SampleRing with enable_f32() and a workspace; incompatible
+/// with the attitude-filter path (which stays double-only). Divergence
+/// from kDouble is bounded by float rounding (tests/test_streaming_f32.cpp).
 enum class Precision { kDouble, kFloat32 };
 
 /// Cumulative per-stage wall-clock cost (µs); zeros when obs is disabled.
@@ -117,6 +120,12 @@ class ProjectionStage {
   [[nodiscard]] double fs() const { return fs_; }
 
  private:
+  /// Axes fit to the raw history [axis_begin, end) for projecting
+  /// [begin, end): both from axes_ or, in attitude mode, the anterior
+  /// direction against the up track's mean over [begin, end).
+  dsp::WindowAxes pin_axes(const imu::SampleRing& ring, std::size_t axis_begin,
+                           std::size_t begin, std::size_t end);
+
   StepCounterConfig cfg_;
   double fs_;
   dsp::Workspace* ws_;
@@ -128,6 +137,7 @@ class ProjectionStage {
   Ring<double> vert_;
   Ring<double> ant_;
   ProjectionSeam seam_{};
+  dsp::AxisEstimator axes_;  ///< closed-form pinned axes over axis_window_
 
   // Reused per-hop projection outputs: project_channels_into refills them
   // in place, so re-projection stops allocating once the region capacity

@@ -100,6 +100,7 @@ void StreamingTracker::run_hop(bool flush) {
   const auto mode = (!flush && warmed_up_ && config_.enforce_no_alloc)
                         ? alloc::NoAllocScope::Mode::kEnforce
                         : alloc::NoAllocScope::Mode::kCount;
+  [[maybe_unused]] obs::StageTimer timer;  // unread when obs is compiled out
   {
     alloc::NoAllocScope guard("StreamingTracker::run_hop", mode);
     pipe_.advance(ring_, flush);
@@ -115,6 +116,8 @@ void StreamingTracker::run_hop(bool flush) {
     // Bounded memory: drop raw samples no stage will read again.
     ring_.trim_to(std::min(pipe_.min_required_index(), ring_.end()));
   }
+  // Outside the no-alloc scope: the first observation registers the metric.
+  PTRACK_HIST_US("ptrack.core.streaming.hop_us", timer.lap_us());
   if (flush) warmed_up_ = true;
 }
 

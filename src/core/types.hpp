@@ -25,17 +25,20 @@ inline std::string_view to_string(GaitType t) {
 }
 
 /// One counted step with its estimated stride.
+/// The doubles come first so the small fields share one padded word: 32
+/// bytes per event instead of 40, and event logs hold one per step.
 struct StepEvent {
   double t = 0.0;        ///< completion time (s)
   double stride = 0.0;   ///< estimated stride (m); 0 when unavailable
-  GaitType type = GaitType::Walking;
   /// Fraction of the step's half-cycle covered by untouched (neither
   /// repaired nor masked) samples; 1 on a clean trace.
   double quality = 1.0;
+  GaitType type = GaitType::Walking;
   /// True when the majority of the step's half-cycle was hard-masked: the
   /// step is still reported, but it stands on reconstructed ground.
   bool degraded = false;
 };
+static_assert(sizeof(StepEvent) <= 32, "StepEvent keeps its packed layout");
 
 /// One analyzed candidate gait cycle (diagnostics; Fig. 6(b) breakdown).
 struct CycleRecord {

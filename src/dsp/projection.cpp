@@ -1,5 +1,6 @@
 #include "dsp/projection.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <utility>
@@ -14,6 +15,73 @@ namespace ptrack::dsp {
 
 namespace {
 
+/// Orthonormal horizontal basis (e1, e2) perpendicular to a unit up.
+struct HorizontalBasis {
+  Vec3 e1;
+  Vec3 e2;
+};
+
+HorizontalBasis horizontal_basis(const Vec3& up) {
+  const Vec3 ref = std::abs(up.z) < 0.9 ? kVertical : kAnterior;
+  const Vec3 e1 = up.cross(ref).normalized();
+  return {e1, up.cross(e1).normalized()};
+}
+
+/// Leading eigenvector of the horizontal scatter [[s11, s12], [s12, s22]]
+/// in `basis`, as a unit 3-vector.
+Vec3 leading_direction(double s11, double s12, double s22,
+                       const HorizontalBasis& basis) {
+  const double tr = s11 + s22;
+  const double det = s11 * s22 - s12 * s12;
+  const double lambda =
+      0.5 * tr + std::sqrt(std::max(0.25 * tr * tr - det, 0.0));
+  double v1;
+  double v2;
+  if (std::abs(s12) > 1e-12) {
+    v1 = lambda - s22;
+    v2 = s12;
+  } else if (s11 >= s22) {
+    v1 = 1.0;
+    v2 = 0.0;
+  } else {
+    v1 = 0.0;
+    v2 = 1.0;
+  }
+  return (basis.e1 * v1 + basis.e2 * v2).normalized();
+}
+
+/// Leading horizontal direction from a window's moments: the covariance of
+/// the (e1, e2) coordinates is e^T S e for the centred scatter matrix S.
+Vec3 forward_from_moments(const simd::WindowMoments& m, std::size_t n,
+                          const Vec3& up) {
+  const HorizontalBasis basis = horizontal_basis(up);
+  const Vec3& d = m.sum;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  const double sxx = m.xx - d.x * d.x * inv_n;
+  const double sxy = m.xy - d.x * d.y * inv_n;
+  const double sxz = m.xz - d.x * d.z * inv_n;
+  const double syy = m.yy - d.y * d.y * inv_n;
+  const double syz = m.yz - d.y * d.z * inv_n;
+  const double szz = m.zz - d.z * d.z * inv_n;
+  const auto scatter = [&](const Vec3& u, const Vec3& v) {
+    return u.dot(Vec3{sxx * v.x + sxy * v.y + sxz * v.z,
+                      sxy * v.x + syy * v.y + syz * v.z,
+                      sxz * v.x + syz * v.y + szz * v.z});
+  };
+  return leading_direction(scatter(basis.e1, basis.e1),
+                           scatter(basis.e1, basis.e2),
+                           scatter(basis.e2, basis.e2), basis);
+}
+
+/// Gravity cutoff actually applied at sample rate fs (kept below Nyquist).
+double gravity_cutoff(double cutoff_hz, double fs) {
+  return std::min(cutoff_hz, 0.45 * fs);
+}
+
+/// Reflection pad of estimate_up's zero-phase filter (clamped to n - 1
+/// like every filtfilt).
+constexpr std::size_t kGravityPad = 64;
+
 /// Shared estimate_up core over already-split channel spans.
 Vec3 estimate_up_channels(std::span<const double> x, std::span<const double> y,
                           std::span<const double> z, double fs,
@@ -23,7 +91,7 @@ Vec3 estimate_up_channels(std::span<const double> x, std::span<const double> y,
           "estimate_up: equal channel lengths");
   expects(fs > 0.0, "estimate_up: fs > 0");
   // Heavy low-pass, then average: cyclic components vanish, gravity remains.
-  const double fc = std::min(cutoff_hz, 0.45 * fs);
+  const double fc = gravity_cutoff(cutoff_hz, fs);
   Vec3 g{};
   if (ws) {
     // All three channels through the lane-parallel zero-phase filter in one
@@ -31,7 +99,7 @@ Vec3 estimate_up_channels(std::span<const double> x, std::span<const double> y,
     // the old one-at-a-time zero_phase_lowpass_into + serial mean.
     const std::array<std::span<const double>, 3> chans{x, y, z};
     const auto means = filtfilt_multi_mean(butterworth_lowpass(2, fc, fs),
-                                           chans, 64, *ws);
+                                           chans, kGravityPad, *ws);
     g = {means[0], means[1], means[2]};
   } else {
     const auto lx = zero_phase_lowpass(x, fc, fs, 2);
@@ -50,23 +118,20 @@ Vec3 estimate_up_channels(std::span<const double> x, std::span<const double> y,
 template <typename GetForce>
 Vec3 principal_horizontal_impl(std::size_t n, GetForce&& get, const Vec3& up) {
   expects(n > 0, "principal_horizontal_direction: non-empty");
-  // Build an orthonormal horizontal basis (e1, e2) perpendicular to up.
-  Vec3 ref = std::abs(up.z) < 0.9 ? kVertical : kAnterior;
-  const Vec3 e1 = up.cross(ref).normalized();
-  const Vec3 e2 = up.cross(e1).normalized();
+  const HorizontalBasis basis = horizontal_basis(up);
 
   // 2x2 covariance of the horizontal residual in (e1, e2).
   double m1 = 0.0;
   double m2 = 0.0;
   std::vector<std::pair<double, double>> h;
-  // ptrack-lint: push-allow(alloc) batch axis estimation; the streaming
-  // frontend estimates axes over bounded history at hop rate instead
+  // ptrack-lint: push-allow(alloc) batch axis estimation; streaming hops
+  // take their pinned axes from AxisEstimator's one-pass moments instead
   h.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3 f = get(i);
     const Vec3 residual = f - up * f.dot(up);
-    const double a = residual.dot(e1);
-    const double b = residual.dot(e2);
+    const double a = residual.dot(basis.e1);
+    const double b = residual.dot(basis.e2);
     h.emplace_back(a, b);
     m1 += a;
     m2 += b;
@@ -83,23 +148,7 @@ Vec3 principal_horizontal_impl(std::size_t n, GetForce&& get, const Vec3& up) {
     s22 += (b - m2) * (b - m2);
   }
 
-  // Leading eigenvector of [[s11, s12], [s12, s22]].
-  const double tr = s11 + s22;
-  const double det = s11 * s22 - s12 * s12;
-  const double lambda = 0.5 * tr + std::sqrt(std::max(0.25 * tr * tr - det, 0.0));
-  double v1;
-  double v2;
-  if (std::abs(s12) > 1e-12) {
-    v1 = lambda - s22;
-    v2 = s12;
-  } else if (s11 >= s22) {
-    v1 = 1.0;
-    v2 = 0.0;
-  } else {
-    v1 = 0.0;
-    v2 = 1.0;
-  }
-  return (e1 * v1 + e2 * v2).normalized();
+  return leading_direction(s11, s12, s22, basis);
 }
 
 }  // namespace
@@ -138,9 +187,7 @@ Vec3 principal_horizontal_direction(std::span<const double> x,
           "principal_horizontal_direction: equal channel lengths");
   const std::size_t n = x.size();
   expects(n > 0, "principal_horizontal_direction: non-empty");
-  Vec3 ref = std::abs(up.z) < 0.9 ? kVertical : kAnterior;
-  const Vec3 e1 = up.cross(ref).normalized();
-  const Vec3 e2 = up.cross(e1).normalized();
+  const HorizontalBasis basis = horizontal_basis(up);
 
   // Horizontal-residual coordinates via the SIMD projection kernel (exact
   // expression-order replica of the Vec3 arithmetic), then the same serial
@@ -151,8 +198,8 @@ Vec3 principal_horizontal_direction(std::span<const double> x,
   ta.resize(n);
   tb.resize(n);
   // ptrack-lint: pop-allow(alloc)
-  simd::residual_project(x, y, z, up, e1, ta);
-  simd::residual_project(x, y, z, up, e2, tb);
+  simd::residual_project(x, y, z, up, basis.e1, ta);
+  simd::residual_project(x, y, z, up, basis.e2, tb);
 
   double m1 = 0.0;
   double m2 = 0.0;
@@ -171,23 +218,68 @@ Vec3 principal_horizontal_direction(std::span<const double> x,
     s22 += (tb[i] - m2) * (tb[i] - m2);
   }
 
-  const double tr = s11 + s22;
-  const double det = s11 * s22 - s12 * s12;
-  const double lambda =
-      0.5 * tr + std::sqrt(std::max(0.25 * tr * tr - det, 0.0));
-  double v1;
-  double v2;
-  if (std::abs(s12) > 1e-12) {
-    v1 = lambda - s22;
-    v2 = s12;
-  } else if (s11 >= s22) {
-    v1 = 1.0;
-    v2 = 0.0;
-  } else {
-    v1 = 0.0;
-    v2 = 1.0;
+  return leading_direction(s11, s12, s22, basis);
+}
+
+AxisEstimator::AxisEstimator(double fs, std::size_t max_window) {
+  expects(fs > 0.0, "AxisEstimator: fs > 0");
+  lowpass_ = butterworth_lowpass(2, gravity_cutoff(kGravityCutoffHz, fs), fs);
+  padded_.reserve(max_window + 2 * kGravityPad);
+}
+
+std::span<const double> AxisEstimator::gravity_weights(std::size_t n) {
+  if (n != n_) {
+    // w = P^T J H J H u: run estimate_up's forward/backward pass over u,
+    // then fold each reflected pad entry 2*x_edge - x_k back onto x_edge
+    // (+2v) and x_k (-v).
+    pad_ = std::min(kGravityPad, n - 1);
+    // ptrack-lint: allow(alloc) within the capacity reserved at construction
+    padded_.assign(n + 2 * pad_, 0.0);
+    const std::span<double> buf(padded_);
+    std::fill_n(buf.begin() + static_cast<std::ptrdiff_t>(pad_), n,
+                1.0 / static_cast<double>(n));
+    lowpass_.reset();
+    lowpass_.process_inplace(buf);
+    std::reverse(buf.begin(), buf.end());
+    lowpass_.reset();
+    lowpass_.process_inplace(buf);
+    std::reverse(buf.begin(), buf.end());
+    const std::span<double> w = buf.subspan(pad_, n);
+    for (std::size_t i = 0; i < pad_; ++i) {
+      w[0] += 2.0 * buf[i];
+      w[pad_ - i] -= buf[i];
+    }
+    for (std::size_t i = 1; i <= pad_; ++i) {
+      const double v = buf[pad_ + n - 1 + i];
+      w[n - 1] += 2.0 * v;
+      w[n - 1 - i] -= v;
+    }
+    n_ = n;
   }
-  return (e1 * v1 + e2 * v2).normalized();
+  return std::span<const double>(padded_).subspan(pad_, n);
+}
+
+WindowAxes AxisEstimator::estimate(std::span<const double> x,
+                                   std::span<const double> y,
+                                   std::span<const double> z) {
+  expects(x.size() >= 4, "AxisEstimator: >= 4 samples");
+  expects(x.size() == y.size() && x.size() == z.size(),
+          "AxisEstimator: equal channel lengths");
+  const std::span<const double> w = gravity_weights(x.size());
+  const Vec3 g{simd::dot(w, x), simd::dot(w, y), simd::dot(w, z)};
+  check(g.norm() > 1e-6, "AxisEstimator: gravity magnitude not degenerate");
+  const Vec3 up = g.normalized();
+  return {up, forward(x, y, z, up)};
+}
+
+Vec3 AxisEstimator::forward(std::span<const double> x,
+                            std::span<const double> y,
+                            std::span<const double> z, const Vec3& up) {
+  expects(!x.empty(), "AxisEstimator: non-empty window");
+  // Moments about the first sample: the centred sums then cancel only the
+  // window's spread around it, not the full gravity magnitude.
+  return forward_from_moments(
+      simd::window_moments(x, y, z, Vec3{x[0], y[0], z[0]}), x.size(), up);
 }
 
 ProjectedSignal project(std::span<const Vec3> specific_force, double fs) {

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "common/vec3.hpp"
+#include "dsp/biquad.hpp"
+#include "dsp/simd.hpp"
 
 namespace ptrack::dsp {
 
@@ -26,12 +28,16 @@ struct ProjectedSignal {
   double fs = 0.0;               ///< sample rate (Hz)
 };
 
+/// Low-pass cutoff of the gravity estimate (Hz): estimate_up's default and
+/// the cutoff AxisEstimator's closed form reproduces.
+inline constexpr double kGravityCutoffHz = 0.3;
+
 /// Estimates the unit "up" direction from specific-force readings by heavy
-/// low-pass filtering (cutoff_hz, default 0.3 Hz) and averaging. For a device
-/// at rest or in cyclic motion the low-passed specific force points up with
-/// magnitude ~g.
+/// low-pass filtering (cutoff_hz, default kGravityCutoffHz) and averaging.
+/// For a device at rest or in cyclic motion the low-passed specific force
+/// points up with magnitude ~g.
 Vec3 estimate_up(std::span<const Vec3> specific_force, double fs,
-                 double cutoff_hz = 0.3);
+                 double cutoff_hz = kGravityCutoffHz);
 
 class Workspace;
 
@@ -40,8 +46,8 @@ class Workspace;
 /// identical to the Vec3 overload (which delegates here). `ws` (optional)
 /// provides filter scratch; real slots 0 and 1 are clobbered.
 Vec3 estimate_up(std::span<const double> x, std::span<const double> y,
-                 std::span<const double> z, double fs, double cutoff_hz = 0.3,
-                 Workspace* ws = nullptr);
+                 std::span<const double> z, double fs,
+                 double cutoff_hz = kGravityCutoffHz, Workspace* ws = nullptr);
 
 /// Principal horizontal direction of the residual (gravity-removed)
 /// acceleration: the eigenvector of the 2x2 horizontal covariance with the
@@ -54,6 +60,55 @@ Vec3 principal_horizontal_direction(std::span<const double> x,
                                     std::span<const double> y,
                                     std::span<const double> z,
                                     const Vec3& up);
+
+/// Unit up and unit anterior directions fit to one window.
+struct WindowAxes {
+  Vec3 up;
+  Vec3 forward;
+};
+
+/// Closed-form axes for a streaming hop's trailing history window: the
+/// same estimate_up + principal_horizontal_direction result, to rounding
+/// (|delta up| <= 1e-12 per component; 1 - |cos delta forward| <= 1e-9
+/// where the horizontal covariance is not degenerate), from O(N) sums
+/// instead of a zero-phase filter over the window.
+///
+/// estimate_up's gravity is the mean of an odd-reflection-padded,
+/// zero-state forward/backward IIR, a fixed linear functional g = w^T x of
+/// the window. Its weights are w = P^T J H J H u: u is 1/N on the interior
+/// and 0 on the pads, H the cascade run forward from zero state, J
+/// reversal (so J H J H is the ordinary forward/reverse/forward/reverse
+/// pass run over u), and P^T folds each pad entry onto the samples its
+/// reflection 2*x0 - x_k reads. The weights depend only on N, so they are
+/// computed once per distinct window length into storage reserved at
+/// construction; a window of at most `max_window` samples never allocates.
+/// The anterior direction comes from the window's centred 3x3 second
+/// moments (simd::window_moments) projected onto the horizontal basis.
+class AxisEstimator {
+ public:
+  AxisEstimator(double fs, std::size_t max_window);
+
+  /// Gravity up and anterior direction over the window (>= 4 samples).
+  WindowAxes estimate(std::span<const double> x, std::span<const double> y,
+                      std::span<const double> z);
+
+  /// Anterior direction over the window (>= 1 sample) for a
+  /// caller-supplied unit `up` (the attitude-filter track). Needs no
+  /// gravity weights, so it reads no estimator state.
+  [[nodiscard]] static Vec3 forward(std::span<const double> x,
+                                    std::span<const double> y,
+                                    std::span<const double> z,
+                                    const Vec3& up);
+
+ private:
+  /// The weights w for an n-sample window, rebuilt when n changes.
+  std::span<const double> gravity_weights(std::size_t n);
+
+  BiquadCascade lowpass_;
+  std::vector<double> padded_;  ///< P^T J H J H u; interior holds w
+  std::size_t n_ = 0;           ///< window length the weights are for
+  std::size_t pad_ = 0;
+};
 
 /// Full projection: vertical = f.u - g, horizontal residual decomposed into
 /// anterior/lateral. Requires at least 4 samples and fs > 0.

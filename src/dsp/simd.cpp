@@ -19,6 +19,7 @@ const KernelTable& scalar_table() {
       &dot_canonical<float>,
       &sumsq_dev_canonical<double>,
       &sumsq_dev_canonical<float>,
+      &window_moments_canonical,
       &axis_project_canonical<double>,
       &axis_project_canonical<float>,
       &residual_project_canonical<double>,
@@ -127,6 +128,16 @@ double sumsq_dev(std::span<const double> xs, double mean) {
 
 float sumsq_devf(std::span<const float> xs, float mean) {
   return dispatch().table->sumsq_dev_f(xs.data(), xs.size(), mean);
+}
+
+WindowMoments window_moments(std::span<const double> x,
+                             std::span<const double> y,
+                             std::span<const double> z,
+                             const Vec3& shift) {
+  expects(x.size() == y.size() && y.size() == z.size(),
+          "simd::window_moments: equal lengths");
+  return dispatch().table->window_moments_d(x.data(), y.data(), z.data(),
+                                            x.size(), shift);
 }
 
 void axis_project(std::span<const double> x, std::span<const double> y,

@@ -69,6 +69,25 @@ inline constexpr std::size_t kFloatBlock = 8;
 [[nodiscard]] double sumsq_dev(std::span<const double> xs, double mean);
 [[nodiscard]] float sumsq_devf(std::span<const float> xs, float mean);
 
+/// First and second moments of d_i = f_i - shift over a projection-axis
+/// history window, f_i = (x[i], y[i], z[i]).
+struct WindowMoments {
+  Vec3 sum;         ///< sum d
+  double xx = 0.0;  ///< sum d.x * d.x
+  double xy = 0.0;  ///< sum d.x * d.y
+  double xz = 0.0;  ///< sum d.x * d.z
+  double yy = 0.0;  ///< sum d.y * d.y
+  double yz = 0.0;  ///< sum d.y * d.z
+  double zz = 0.0;  ///< sum d.z * d.z
+};
+
+/// The nine reductions of WindowMoments in one pass over equal-length
+/// spans (canonical block order per reduction).
+[[nodiscard]] WindowMoments window_moments(std::span<const double> x,
+                                           std::span<const double> y,
+                                           std::span<const double> z,
+                                           const Vec3& shift);
+
 // --- Elementwise maps (exact expression-order replicas) ---------------------
 
 /// out[i] = ((x[i]*u.x + y[i]*u.y) + z[i]*u.z) - bias — the vertical

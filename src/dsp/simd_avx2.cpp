@@ -120,6 +120,36 @@ float sumsq_devf_avx2(const float* xs, std::size_t n, float mean) {
   return total;
 }
 
+WindowMoments window_moments_avx2(const double* x, const double* y,
+                                  const double* z, std::size_t n, Vec3 shift) {
+  const __m256d sx = _mm256_set1_pd(shift.x);
+  const __m256d sy = _mm256_set1_pd(shift.y);
+  const __m256d sz = _mm256_set1_pd(shift.z);
+  __m256d acc[kWindowSums];
+  for (auto& a : acc) a = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d xv = _mm256_loadu_pd(x + i);
+    const __m256d yv = _mm256_loadu_pd(y + i);
+    const __m256d zv = _mm256_loadu_pd(z + i);
+    const __m256d dx = _mm256_sub_pd(xv, sx);
+    const __m256d dy = _mm256_sub_pd(yv, sy);
+    const __m256d dz = _mm256_sub_pd(zv, sz);
+    acc[0] = _mm256_add_pd(acc[0], dx);
+    acc[1] = _mm256_add_pd(acc[1], dy);
+    acc[2] = _mm256_add_pd(acc[2], dz);
+    acc[3] = _mm256_add_pd(acc[3], _mm256_mul_pd(dx, dx));
+    acc[4] = _mm256_add_pd(acc[4], _mm256_mul_pd(dx, dy));
+    acc[5] = _mm256_add_pd(acc[5], _mm256_mul_pd(dx, dz));
+    acc[6] = _mm256_add_pd(acc[6], _mm256_mul_pd(dy, dy));
+    acc[7] = _mm256_add_pd(acc[7], _mm256_mul_pd(dy, dz));
+    acc[8] = _mm256_add_pd(acc[8], _mm256_mul_pd(dz, dz));
+  }
+  double total[kWindowSums] = {};
+  for (std::size_t k = 0; k < kWindowSums; ++k) total[k] = hsum(acc[k]);
+  return window_moments_tail(x, y, z, i, n, shift, total);
+}
+
 void axis_project_avx2(const double* x, const double* y, const double* z,
                        std::size_t n, Vec3 u, double bias, double* out) {
   const __m256d uxv = _mm256_set1_pd(u.x);
@@ -451,6 +481,7 @@ const KernelTable& avx2_table() {
       &dotf_avx2,
       &sumsq_dev_avx2,
       &sumsq_devf_avx2,
+      &window_moments_avx2,
       &axis_project_avx2,
       &axis_projectf_avx2,
       &residual_project_avx2,

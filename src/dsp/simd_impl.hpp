@@ -34,6 +34,8 @@ struct KernelTable {
   float (*dot_f)(const float*, const float*, std::size_t);
   double (*sumsq_dev_d)(const double*, std::size_t, double);
   float (*sumsq_dev_f)(const float*, std::size_t, float);
+  WindowMoments (*window_moments_d)(const double*, const double*,
+                                    const double*, std::size_t, Vec3);
   void (*axis_project_d)(const double*, const double*, const double*,
                          std::size_t, Vec3, double, double*);
   void (*axis_project_f)(const float*, const float*, const float*,
@@ -130,6 +132,73 @@ T sumsq_dev_canonical(const T* xs, std::size_t n, T mean) {
     total += d * d;
   }
   return total;
+}
+
+/// Number of reductions in WindowMoments, in the order the kernels keep
+/// them: sum d.x, d.y, d.z; xx, xy, xz, yy, yz, zz.
+inline constexpr std::size_t kWindowSums = 9;
+
+/// The kWindowSums per-sample terms of window_moments.
+inline void window_terms(double x, double y, double z, Vec3 shift,
+                         double* t) {
+  const double dx = x - shift.x;
+  const double dy = y - shift.y;
+  const double dz = z - shift.z;
+  t[0] = dx;
+  t[1] = dy;
+  t[2] = dz;
+  t[3] = dx * dx;
+  t[4] = dx * dy;
+  t[5] = dx * dz;
+  t[6] = dy * dy;
+  t[7] = dy * dz;
+  t[8] = dz * dz;
+}
+
+inline WindowMoments window_moments_from(const double* s) {
+  WindowMoments m;
+  m.sum = Vec3{s[0], s[1], s[2]};
+  m.xx = s[3];
+  m.xy = s[4];
+  m.xz = s[5];
+  m.yy = s[6];
+  m.yz = s[7];
+  m.zz = s[8];
+  return m;
+}
+
+/// Adds the serial tail [i, n) onto the combined block totals — shared by
+/// every ISA so the tail order is one definition.
+inline WindowMoments window_moments_tail(const double* x, const double* y,
+                                         const double* z, std::size_t i,
+                                         std::size_t n, Vec3 shift,
+                                         double* total) {
+  double t[kWindowSums] = {};
+  for (; i < n; ++i) {
+    window_terms(x[i], y[i], z[i], shift, t);
+    for (std::size_t k = 0; k < kWindowSums; ++k) total[k] += t[k];
+  }
+  return window_moments_from(total);
+}
+
+inline WindowMoments window_moments_canonical(const double* x, const double* y,
+                                              const double* z, std::size_t n,
+                                              Vec3 shift) {
+  constexpr std::size_t B = kDoubleBlock;
+  double acc[kWindowSums][B] = {};
+  double t[kWindowSums] = {};
+  std::size_t i = 0;
+  for (; i + B <= n; i += B) {
+    for (std::size_t j = 0; j < B; ++j) {
+      window_terms(x[i + j], y[i + j], z[i + j], shift, t);
+      for (std::size_t k = 0; k < kWindowSums; ++k) acc[k][j] += t[k];
+    }
+  }
+  double total[kWindowSums] = {};
+  for (std::size_t k = 0; k < kWindowSums; ++k) {
+    total[k] = combine_block<double>(acc[k]);
+  }
+  return window_moments_tail(x, y, z, i, n, shift, total);
 }
 
 template <typename T>

@@ -126,6 +126,42 @@ float sumsq_devf_neon(const float* xs, std::size_t n, float mean) {
   return total;
 }
 
+WindowMoments window_moments_neon(const double* x, const double* y,
+                                  const double* z, std::size_t n, Vec3 shift) {
+  const float64x2_t sx = vdupq_n_f64(shift.x);
+  const float64x2_t sy = vdupq_n_f64(shift.y);
+  const float64x2_t sz = vdupq_n_f64(shift.z);
+  // acc[k][0] holds lane positions {0,1}, acc[k][1] holds {2,3}.
+  float64x2_t acc[kWindowSums][2];
+  for (auto& a : acc) a[0] = a[1] = vdupq_n_f64(0.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      const std::size_t o = i + 2 * h;
+      const float64x2_t xv = vld1q_f64(x + o);
+      const float64x2_t yv = vld1q_f64(y + o);
+      const float64x2_t zv = vld1q_f64(z + o);
+      const float64x2_t dx = vsubq_f64(xv, sx);
+      const float64x2_t dy = vsubq_f64(yv, sy);
+      const float64x2_t dz = vsubq_f64(zv, sz);
+      acc[0][h] = vaddq_f64(acc[0][h], dx);
+      acc[1][h] = vaddq_f64(acc[1][h], dy);
+      acc[2][h] = vaddq_f64(acc[2][h], dz);
+      acc[3][h] = vaddq_f64(acc[3][h], vmulq_f64(dx, dx));
+      acc[4][h] = vaddq_f64(acc[4][h], vmulq_f64(dx, dy));
+      acc[5][h] = vaddq_f64(acc[5][h], vmulq_f64(dx, dz));
+      acc[6][h] = vaddq_f64(acc[6][h], vmulq_f64(dy, dy));
+      acc[7][h] = vaddq_f64(acc[7][h], vmulq_f64(dy, dz));
+      acc[8][h] = vaddq_f64(acc[8][h], vmulq_f64(dz, dz));
+    }
+  }
+  double total[kWindowSums] = {};
+  for (std::size_t k = 0; k < kWindowSums; ++k) {
+    total[k] = hsum(acc[k][0], acc[k][1]);
+  }
+  return window_moments_tail(x, y, z, i, n, shift, total);
+}
+
 void axis_project_neon(const double* x, const double* y, const double* z,
                        std::size_t n, Vec3 u, double bias, double* out) {
   const float64x2_t uxv = vdupq_n_f64(u.x);
@@ -396,6 +432,7 @@ const KernelTable& neon_table() {
       &dotf_neon,
       &sumsq_dev_neon,
       &sumsq_devf_neon,
+      &window_moments_neon,
       &axis_project_neon,
       &axis_projectf_neon,
       &residual_project_neon,

@@ -106,3 +106,42 @@ TEST(Frontend, Preconditions) {
   EXPECT_THROW(core::project_trace_with_attitude(r.trace.slice(0, 8), 5.0),
                InvalidArgument);
 }
+
+TEST(Frontend, PinnedAxesEqualToTheSpanEstimateChangeNothing) {
+  // Pinning exactly the axes the unpinned path fits to the span must
+  // reproduce its projection bit for bit: `pinned` only replaces the fit.
+  Rng rng(807);
+  synth::UserProfile user;
+  const auto r = synth::synthesize(synth::Scenario::pure_walking(12.0), user,
+                                   synth::SynthOptions{}, rng);
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> z;
+  for (const Vec3& f : r.trace.accel_vectors()) {
+    x.push_back(f.x);
+    y.push_back(f.y);
+    z.push_back(f.z);
+  }
+  const double fs = r.trace.fs();
+  const Vec3 up = dsp::estimate_up(x, y, z, fs);
+  // The span fit takes the anterior axis against the window's mean up,
+  // which for a constant up is the normalized sum of n copies.
+  Vec3 mean_up{};
+  for (std::size_t i = 0; i < x.size(); ++i) mean_up += up;
+  const dsp::WindowAxes pinned{
+      up, dsp::principal_horizontal_direction(x, y, z, mean_up.normalized())};
+  const auto fitted = core::project_channels(x, y, z, fs, 5.0);
+  const auto fixed =
+      core::project_channels(x, y, z, fs, 5.0, 0.0, {}, nullptr, nullptr,
+                             &pinned);
+  EXPECT_EQ(fitted.vertical, fixed.vertical);
+  EXPECT_EQ(fitted.anterior, fixed.anterior);
+
+  // A different pinned anterior axis does change the anterior channel.
+  const dsp::WindowAxes turned{up, up.cross(pinned.forward)};
+  const auto other =
+      core::project_channels(x, y, z, fs, 5.0, 0.0, {}, nullptr, nullptr,
+                             &turned);
+  EXPECT_EQ(fitted.vertical, other.vertical);
+  EXPECT_NE(fitted.anterior, other.anterior);
+}

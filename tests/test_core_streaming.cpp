@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "core/streaming.hpp"
 #include "imu/faults.hpp"
+#include "obs/metrics.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
@@ -264,4 +265,24 @@ TEST(Streaming, StatsSnapshotTracksLifetime) {
   EXPECT_DOUBLE_EQ(after.distance_m, stream.distance());
   EXPECT_GE(after.degraded_fraction(), 0.0);
   EXPECT_LE(after.degraded_fraction(), 1.0);
+}
+
+TEST(Streaming, HopCostHistogramRecordsEveryHop) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs compiled out";
+  auto& hist = obs::Registry::instance().histogram(
+      "ptrack.core.streaming.hop_us", obs::latency_buckets_us());
+  const auto r = make(synth::Scenario::pure_walking(30.0), 509);
+  core::StreamingTracker stream(r.trace.fs(), config_for_user());
+
+  const auto before = hist.snapshot();
+  stream.push(r.trace);
+  const auto pushed = hist.snapshot();
+  const std::size_t hops = stream.stats().windows_processed;
+  EXPECT_GT(hops, 10u);
+  EXPECT_EQ(pushed.count - before.count, hops);
+  EXPECT_GT(pushed.sum, before.sum);
+
+  static_cast<void>(stream.finish());  // the flush is one more hop
+  EXPECT_EQ(hist.snapshot().count - before.count, hops + 1);
+  EXPECT_EQ(stream.stats().windows_processed, hops + 1);
 }

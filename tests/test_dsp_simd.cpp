@@ -151,6 +151,47 @@ TEST(SimdKernels, EmptyReductionsAreZero) {
   EXPECT_EQ(simd::sumf({}), 0.0F);
 }
 
+/// The nine WindowMoments fields in kernel order.
+std::array<double, 9> moment_fields(const simd::WindowMoments& m) {
+  return {m.sum.x, m.sum.y, m.sum.z, m.xx, m.xy, m.xz, m.yy, m.yz, m.zz};
+}
+
+TEST(SimdKernels, WindowMomentsBitExactAndCorrect) {
+  IsaGuard guard(simd::detected());
+  const Vec3 shift{0.5, -1.25, 9.5};
+  for (std::size_t n : kLengths) {
+    for (std::size_t off : kOffsets) {
+      const auto xs = rand_vec<double>(n + off, 21);
+      const auto ys = rand_vec<double>(n + off, 22);
+      const auto zs = rand_vec<double>(n + off, 23);
+      const std::span<const double> x{xs.data() + off, n};
+      const std::span<const double> y{ys.data() + off, n};
+      const std::span<const double> z{zs.data() + off, n};
+      const auto [m0, m1] = both_isas(
+          [&] { return moment_fields(simd::window_moments(x, y, z, shift)); });
+      for (std::size_t k = 0; k < m0.size(); ++k) {
+        EXPECT_EQ(m0[k], m1[k]) << "field " << k << " n=" << n
+                                << " off=" << off;
+      }
+      // Each field is the sum it documents (serial order, to rounding).
+      std::array<double, 9> ref{};
+      for (std::size_t i = 0; i < n; ++i) {
+        const double dx = x[i] - shift.x;
+        const double dy = y[i] - shift.y;
+        const double dz = z[i] - shift.z;
+        const std::array<double, 9> t = {dx,      dy,      dz,
+                                         dx * dx, dx * dy, dx * dz,
+                                         dy * dy, dy * dz, dz * dz};
+        for (std::size_t k = 0; k < ref.size(); ++k) ref[k] += t[k];
+      }
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        EXPECT_NEAR(m0[k], ref[k], 1e-9 * (1.0 + std::abs(ref[k])))
+            << "field " << k << " n=" << n;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Elementwise maps.
 
