@@ -180,7 +180,12 @@ int run_streaming(const cli::Args& args, const core::PTrackConfig& config,
 int run_batch(const cli::Args& args, const core::PTrackConfig& config) {
   const std::string dir = args.get_string("batch");
   const auto threads = static_cast<std::size_t>(args.get_int("threads"));
-  runtime::TraceDirListing listing = runtime::load_trace_dir(dir, threads);
+  // One scheduler loads the files and then runs the batch: its executors
+  // (and, with obs on, their span rings) serve both phases.
+  runtime::SchedulerOptions so;
+  so.workers = runtime::resolve_threads(threads) - 1;
+  runtime::Scheduler sched(so);
+  runtime::TraceDirListing listing = runtime::load_trace_dir(dir, sched);
   if (listing.traces.empty() && listing.errors.empty()) {
     std::cerr << "ptrack_cli: no .csv traces in " << dir << "\n";
     write_obs_outputs(args);
@@ -192,7 +197,7 @@ int run_batch(const cli::Args& args, const core::PTrackConfig& config) {
   for (auto& nt : listing.traces) traces.push_back(std::move(nt.trace));
 
   runtime::BatchOptions opt;
-  opt.threads = threads;
+  opt.scheduler = &sched;
   runtime::BatchRunner runner(config, opt);
   const auto results = runner.run(traces);
 

@@ -1,9 +1,25 @@
+// The CSV scanner. Each cell is decided by the first of three tiers that
+// settles it, and every tier gives the decision, double and message of the
+// last one, which is the reference:
+//
+//   1. exact_decimal: a plain decimal (optional '-', at most 19 digits with
+//      at most one '.', an optional exponent of at most 3 digits) whose
+//      mantissa m is nonzero and <= 2^53 and whose net power of ten e has
+//      |e| <= 22 is m * 10^e or m / 10^e, one IEEE operation on two exact
+//      doubles (Clinger 1990): correctly rounded, normal and in range.
+//      csv::write's 12 significant digits always fit the grammar, so every
+//      value it prints with magnitude in [1e-11, 1e23) takes this tier.
+//   2. std::from_chars, taken when plain_value() shows stod returns the same
+//      double without a range error.
+//   3. parse_cell: std::stod's grammar and range rules, the reference.
+
 #include "common/csv.hpp"
 
 #include <algorithm>
 #include <cfloat>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -24,8 +40,8 @@ namespace {
 // reports out of range (overflow, and underflow to a subnormal or zero) is
 // "non-numeric". tests/test_malformed_inputs.cpp pins this cell by cell.
 //
-// This is the reference decision. The scanner only calls it for cells the
-// from_chars fast path below does not settle.
+// This is the reference decision (tier 3). The scanner only calls it for
+// cells the exact-decimal and from_chars tiers do not settle.
 double parse_cell(std::string_view text, std::size_t row,
                   const std::string& name) {
   if (text.empty() || text.size() > kMaxCellChars) {
@@ -52,7 +68,7 @@ double parse_cell(std::string_view text, std::size_t row,
   return value;
 }
 
-// Fast path: true when from_chars parsed [first, last) to `value` and stod
+// Tier 2: true when from_chars parsed [first, last) to `value` and stod
 // is known to return the same double without a range error. Both convert
 // correctly rounded, so that holds for a normal result strictly inside
 // (DBL_MIN, DBL_MAX) and for a literal zero; results at or past either end,
@@ -67,6 +83,68 @@ bool plain_value(const char* first, const char* last, double value) {
     if (*first >= '1' && *first <= '9') return false;
   }
   return true;
+}
+
+/// 10^0 .. 10^22: every power of ten a double holds exactly.
+constexpr double kExactPow10[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+constexpr int kMaxExactPow10 = 22;
+constexpr int kMaxMantissaDigits = 19;  // < 2^64, so m cannot wrap
+constexpr int kMaxExponentDigits = 3;
+constexpr std::uint64_t kMaxExactMantissa = std::uint64_t{1} << 53;
+// '-', the digits, '.', 'e', the exponent's sign and digits.
+static_assert(1 + kMaxMantissaDigits + 1 + 2 + kMaxExponentDigits <=
+                  kMaxCellChars,
+              "an exact-decimal cell always fits the cell cap");
+static_assert(FLT_EVAL_METHOD == 0,
+              "one double operation must round once, not via wider registers");
+
+// Tier 1 (see the top of the file): converts the cell starting at `p` when
+// it is an exact decimal that ends at ',' or `end`, and returns that end;
+// returns nullptr, with `value` unspecified, for every other cell.
+const char* exact_decimal(const char* p, const char* end, double& value) {
+  const bool negative = p != end && *p == '-';
+  p += negative ? 1 : 0;
+  std::uint64_t m = 0;
+  int digits = 0;
+  int fraction_digits = 0;
+  bool dot = false;
+  for (; p != end; ++p) {
+    const auto d = static_cast<unsigned>(static_cast<unsigned char>(*p) - '0');
+    if (d < 10) {
+      if (++digits > kMaxMantissaDigits) return nullptr;
+      m = m * 10 + d;
+      fraction_digits += dot ? 1 : 0;
+    } else if (*p == '.' && !dot) {
+      dot = true;
+    } else {
+      break;
+    }
+  }
+  if (digits == 0) return nullptr;
+  int exponent = 0;
+  if (p != end && (*p == 'e' || *p == 'E')) {
+    ++p;
+    const bool exponent_negative = p != end && *p == '-';
+    if (p != end && (*p == '-' || *p == '+')) ++p;
+    int exponent_digits = 0;
+    for (; p != end && *p >= '0' && *p <= '9'; ++p) {
+      if (++exponent_digits > kMaxExponentDigits) return nullptr;
+      exponent = exponent * 10 + (*p - '0');
+    }
+    if (exponent_digits == 0) return nullptr;
+    if (exponent_negative) exponent = -exponent;
+  }
+  if (p != end && *p != ',') return nullptr;
+  if (m == 0 || m > kMaxExactMantissa) return nullptr;
+  const int e = exponent - fraction_digits;
+  if (e < -kMaxExactPow10 || e > kMaxExactPow10) return nullptr;
+  const auto mantissa = static_cast<double>(m);
+  const double magnitude = e < 0 ? mantissa / kExactPow10[-e]
+                                 : mantissa * kExactPow10[e];
+  value = negative ? -magnitude : magnitude;
+  return p;
 }
 
 // Hands out the '\n'-separated lines of a stream as views into one buffer.
@@ -169,14 +247,17 @@ void parse_row(std::string_view line, std::size_t width,
   for (;;) {
     if (row.size() == width) throw ragged_row(row_number, name, width);
     double value = 0.0;
-    const auto [parsed, ec] = std::from_chars(p, end, value);
-    const char* cell_end = parsed;
-    if (ec != std::errc() || (parsed != end && *parsed != ',') ||
-        static_cast<std::size_t>(parsed - p) > kMaxCellChars ||
-        !plain_value(p, parsed, value)) {
-      cell_end = std::find(p, end, ',');
-      value = parse_cell({p, static_cast<std::size_t>(cell_end - p)},
-                         row_number, name);
+    const char* cell_end = exact_decimal(p, end, value);
+    if (cell_end == nullptr) {
+      const auto [parsed, ec] = std::from_chars(p, end, value);
+      cell_end = parsed;
+      if (ec != std::errc() || (parsed != end && *parsed != ',') ||
+          static_cast<std::size_t>(parsed - p) > kMaxCellChars ||
+          !plain_value(p, parsed, value)) {
+        cell_end = std::find(p, end, ',');
+        value = parse_cell({p, static_cast<std::size_t>(cell_end - p)},
+                           row_number, name);
+      }
     }
     row.push_back(value);
     if (cell_end == end || cell_end + 1 == end) break;

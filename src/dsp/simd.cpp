@@ -32,6 +32,7 @@ const KernelTable& scalar_table() {
       &min_until_greater_fwd_canonical,
       &min_until_greater_bwd_canonical,
       &normalize_lags_canonical,
+      &count_byte_canonical,
       &cascade_multi_canonical<double>,
       &cascade_multi_canonical<float>,
   };
@@ -223,6 +224,10 @@ void normalize_lags(std::span<const double> raw, std::size_t n, double den,
           "simd::normalize_lags: lags < n");
   dispatch().table->normalize_lags_d(raw.data(), n, out.size(), den,
                                      out.data());
+}
+
+std::size_t count_byte(std::span<const char> bytes, char byte) {
+  return dispatch().table->count_byte(bytes.data(), bytes.size(), byte);
 }
 
 void cascade_multi(std::span<const BiquadCoeffs> sections, double* data,

@@ -135,6 +135,10 @@ void narrow(std::span<const double> xs, std::span<float> out);
 [[nodiscard]] double min_until_greater_bwd(std::span<const double> xs,
                                            double h);
 
+/// Number of bytes in `bytes` equal to `byte` (exact, so every ISA agrees).
+/// Counts a trace file's newlines at close to read speed.
+[[nodiscard]] std::size_t count_byte(std::span<const char> bytes, char byte);
+
 /// Unbiased autocorrelation normalization: out[lag] =
 /// clamp(raw[lag] * (n / (n - lag)) / den, -1, 1) for lag in
 /// [0, out.size()), replicating dsp/correlate.cpp's normalize_lag.

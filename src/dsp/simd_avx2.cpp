@@ -458,6 +458,32 @@ void cascade_multif_avx2_n(const BiquadCoeffs* sections, float* data,
   }
 }
 
+/// 32 byte counters (one per lane), subtracting the all-ones compare mask,
+/// summed into the total every 255 steps, before a counter can wrap.
+std::size_t count_byte_avx2(const char* bytes, std::size_t n, char byte) {
+  constexpr std::size_t kLanes = 32;
+  constexpr std::size_t kBlockSteps = 255;
+  const __m256i needle = _mm256_set1_epi8(byte);
+  std::size_t total = 0;
+  std::size_t i = 0;
+  while (n - i >= kLanes) {
+    __m256i lanes = _mm256_setzero_si256();
+    const std::size_t steps = std::min((n - i) / kLanes, kBlockSteps);
+    for (std::size_t s = 0; s < steps; ++s, i += kLanes) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bytes + i));
+      lanes = _mm256_sub_epi8(lanes, _mm256_cmpeq_epi8(v, needle));
+    }
+    // Four 64-bit sums of eight byte counters each.
+    const __m256i sums = _mm256_sad_epu8(lanes, _mm256_setzero_si256());
+    total += static_cast<std::size_t>(_mm256_extract_epi64(sums, 0) +
+                                      _mm256_extract_epi64(sums, 1) +
+                                      _mm256_extract_epi64(sums, 2) +
+                                      _mm256_extract_epi64(sums, 3));
+  }
+  return total + count_byte_canonical(bytes + i, n - i, byte);
+}
+
 void cascade_multif_avx2(const BiquadCoeffs* sections, std::size_t nsec,
                          float* data, std::size_t n, bool backward) {
   switch (nsec) {
@@ -494,6 +520,7 @@ const KernelTable& avx2_table() {
       &min_until_greater_fwd_avx2,
       &min_until_greater_bwd_avx2,
       &normalize_lags_avx2,
+      &count_byte_avx2,
       &cascade_multi_avx2,
       &cascade_multif_avx2,
   };

@@ -54,6 +54,7 @@ struct KernelTable {
   double (*min_until_greater_bwd_d)(const double*, std::size_t, double);
   void (*normalize_lags_d)(const double*, std::size_t, std::size_t, double,
                            double*);
+  std::size_t (*count_byte)(const char*, std::size_t, char);
   void (*cascade_multi_d)(const BiquadCoeffs*, std::size_t, double*,
                           std::size_t, bool);
   void (*cascade_multi_f)(const BiquadCoeffs*, std::size_t, float*,
@@ -280,6 +281,11 @@ inline void normalize_lags_canonical(const double* raw, std::size_t n,
         static_cast<double>(n) / static_cast<double>(n - lag);
     out[lag] = std::clamp(raw[lag] * scale / den, -1.0, 1.0);
   }
+}
+
+inline std::size_t count_byte_canonical(const char* bytes, std::size_t n,
+                                        char byte) {
+  return static_cast<std::size_t>(std::count(bytes, bytes + n, byte));
 }
 
 /// Lane-parallel biquad cascade; per lane this is exactly Biquad::step's

@@ -5,9 +5,9 @@
 // (resp. two 4×float) accumulators and combine them in the canonical
 // pairwise order; elementwise maps and the lane-parallel cascade mirror the
 // scalar expression trees with vmulq/vaddq (never vfmaq). The scan and
-// normalization kernels reuse the canonical scalar implementations — they
-// are cheap relative to the filters, and branchy early-exit scans gain
-// little from 2-wide vectors.
+// normalization kernels and the byte count reuse the canonical scalar
+// implementations — they are cheap relative to the filters, and branchy
+// early-exit scans gain little from 2-wide vectors.
 
 #include <arm_neon.h>
 
@@ -445,6 +445,7 @@ const KernelTable& neon_table() {
       &min_until_greater_fwd_canonical,
       &min_until_greater_bwd_canonical,
       &normalize_lags_canonical,
+      &count_byte_canonical,
       &cascade_multi_neon,
       &cascade_multif_neon,
   };

@@ -8,6 +8,7 @@
 
 #include "common/check.hpp"
 #include "common/error.hpp"
+#include "dsp/simd.hpp"
 #include "imu/trace_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -136,33 +137,10 @@ namespace {
 /// holds fewer than B / kMinSampleRowBytes samples.
 constexpr std::size_t kMinSampleRowBytes = 14;
 
-/// Samples to reserve for the file at `path`: enough for every line, never
-/// more than its bytes could hold or the trace layer accepts, so a hostile
-/// file cannot make the reservation outgrow 4x its own size. Reads the file
-/// once through a stack buffer; an unreadable file gets none, and its load
-/// reports why.
-std::size_t sample_reservation(const std::string& path) {
-  std::ifstream in;
-  in.rdbuf()->pubsetbuf(nullptr, 0);  // unbuffered: reads land in `buf`
-  in.open(path, std::ios::binary);
-  if (!in) return 0;
-  std::size_t bytes = 0;
-  std::size_t newlines = 0;
-  char buf[64 * 1024];
-  do {
-    in.read(buf, sizeof buf);
-    const auto got = static_cast<std::size_t>(in.gcount());
-    bytes += got;
-    newlines += static_cast<std::size_t>(std::count(buf, buf + got, '\n'));
-  } while (in);
-  return std::min(
-      {newlines + 1, bytes / kMinSampleRowBytes, imu::kMaxTraceSamples});
-}
+namespace fs = std::filesystem;
 
-}  // namespace
-
-TraceDirListing load_trace_dir(const std::string& dir, std::size_t threads) {
-  namespace fs = std::filesystem;
+/// The `.csv` files in `dir`, sorted by path.
+std::vector<std::string> list_trace_files(const std::string& dir) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
     throw Error("load_trace_dir: not a directory: " + dir);
@@ -177,13 +155,13 @@ TraceDirListing load_trace_dir(const std::string& dir, std::size_t threads) {
   // Directory iteration order is filesystem-dependent; sorting is what
   // makes batch runs reproducible across machines.
   std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+TraceDirListing load_trace_files(const std::vector<std::string>& paths,
+                                 Scheduler& sched) {
   const std::size_t n = paths.size();
   if (n == 0) return {};
-
-  SchedulerOptions so;
-  so.workers = std::min(resolve_threads(threads), n) - 1;
-  Scheduler sched(so);
-
   // Phase 1: size every file.
   std::vector<std::size_t> reservation(n);
   sched.parallel_for(Lane::kThroughput, n, [&](std::size_t i, std::size_t) {
@@ -231,6 +209,39 @@ TraceDirListing load_trace_dir(const std::string& dir, std::size_t threads) {
                                   }),
                    "load_trace_dir: traces ordered by filename");
   return out;
+}
+
+}  // namespace
+
+std::size_t sample_reservation(const std::string& path) {
+  std::ifstream in;
+  in.rdbuf()->pubsetbuf(nullptr, 0);  // unbuffered: reads land in `buf`
+  in.open(path, std::ios::binary);
+  if (!in) return 0;
+  std::size_t bytes = 0;
+  std::size_t newlines = 0;
+  char buf[64 * 1024];
+  do {
+    in.read(buf, sizeof buf);
+    const auto got = static_cast<std::size_t>(in.gcount());
+    bytes += got;
+    newlines += dsp::simd::count_byte({buf, got}, '\n');
+  } while (in);
+  return std::min(
+      {newlines + 1, bytes / kMinSampleRowBytes, imu::kMaxTraceSamples});
+}
+
+TraceDirListing load_trace_dir(const std::string& dir, std::size_t threads) {
+  const std::vector<std::string> paths = list_trace_files(dir);
+  if (paths.empty()) return {};
+  SchedulerOptions so;
+  so.workers = std::min(resolve_threads(threads), paths.size()) - 1;
+  Scheduler sched(so);
+  return load_trace_files(paths, sched);
+}
+
+TraceDirListing load_trace_dir(const std::string& dir, Scheduler& sched) {
+  return load_trace_files(list_trace_files(dir), sched);
 }
 // ptrack-lint: pop-allow(alloc)
 

@@ -121,4 +121,18 @@ struct TraceDirListing {
 TraceDirListing load_trace_dir(const std::string& dir,
                                std::size_t threads = 0);
 
+/// load_trace_dir on the throughput lane of `sched`, whose executors and
+/// the calling thread parse the files. A process that loads repeatedly
+/// (or loads and then runs a BatchRunner borrowing `sched`) starts no
+/// threads per call, so with obs on no new span rings pile up either.
+TraceDirListing load_trace_dir(const std::string& dir, Scheduler& sched);
+
+/// Samples load_trace_dir reserves for the file at `path`: one per line
+/// (newlines + 1), but never more than its bytes could hold as rows of
+/// "0,0,0,0,0,0,0\n" or than the trace layer accepts, so a hostile file
+/// cannot make the reservation outgrow 4x its own size. Reads the file once
+/// and counts newlines with dsp::simd::count_byte; an unreadable file gets
+/// none, and its load reports why.
+[[nodiscard]] std::size_t sample_reservation(const std::string& path);
+
 }  // namespace ptrack::runtime

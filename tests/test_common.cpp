@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -443,6 +446,151 @@ TEST(Csv, WriteMatchesOstreamPrecision12) {
   csv::write(path, header, rows);
   EXPECT_EQ(slurp(path), expected.str());
   std::remove(path.c_str());
+}
+
+namespace {
+
+/// A cell's outcome by the reference rule: std::stod must consume the whole
+/// cell without a range error and yield a finite value.
+struct CellOutcome {
+  bool accepted = false;
+  double value = 0.0;
+  std::string message;
+};
+
+CellOutcome reference_cell(const std::string& cell, const std::string& where) {
+  CellOutcome out;
+  if (cell.empty() || cell.size() > csv::kMaxCellChars) {
+    out.message = "csv: empty or oversized cell in " + where;
+    return out;
+  }
+  std::size_t consumed = 0;
+  try {
+    out.value = std::stod(cell, &consumed);
+  } catch (const std::exception&) {
+    out.message = "csv: non-numeric cell '" + cell + "' in " + where;
+    return out;
+  }
+  if (consumed != cell.size()) {
+    out.message = "csv: trailing junk in cell '" + cell + "' in " + where;
+  } else if (!std::isfinite(out.value)) {
+    out.message = "csv: non-finite cell '" + cell + "' in " + where;
+  } else {
+    out.accepted = true;
+  }
+  return out;
+}
+
+/// Parses `text` and returns the outcome of the cell at `column` of its
+/// one data row.
+CellOutcome parsed_cell(const std::string& text, std::size_t column) {
+  CellOutcome out;
+  std::istringstream in(text);
+  try {
+    const csv::Document doc = csv::parse(in, "cells");
+    out.accepted = true;
+    out.value = doc.rows.at(0).at(column);
+  } catch (const Error& e) {
+    out.message = e.what();
+  }
+  return out;
+}
+
+void expect_same_outcome(const CellOutcome& got, const CellOutcome& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.accepted, want.accepted)
+      << label << ": " << got.message << want.message;
+  EXPECT_EQ(got.message, want.message) << label;
+  if (!want.accepted) return;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value),
+            std::bit_cast<std::uint64_t>(want.value))
+      << label << ": " << got.value << " vs " << want.value;
+}
+
+std::string digit_string(Rng& rng, int digits) {
+  std::string out;
+  for (int i = 0; i < digits; ++i) {
+    out += static_cast<char>('0' + rng.uniform_int(i == 0 ? 1 : 0, 9));
+  }
+  return out;
+}
+
+}  // namespace
+
+// Every cell the exact-decimal tier could take, or nearly take, is decided
+// as by the reference: accept or reject, message and value bits. Cells sit
+// alone on a line (ending at the line's end) and first in a two-cell row
+// (ending at ','); from_chars, where it parses the whole cell, agrees too.
+TEST(Csv, ExactDecimalFastPathMatchesReference) {
+  std::vector<std::string> cells = {
+      // Mantissa bound: 2^53 takes the tier, 2^53 + 1 does not.
+      "9007199254740992", "9007199254740993", "9007199254740991",
+      "-9007199254740993", "9007199254740993e-3", "9007199254740993e7",
+      "900719925474099.3", "9007199254740992e22", "9007199254740993e22",
+      // 15 to 20 digits.
+      "123456789012345", "1234567890123456", "12345678901234567",
+      "123456789012345678", "1234567890123456789", "12345678901234567890",
+      "0.1234567890123456789", "0.12345678901234567890", "9999999999999999999",
+      // Exponent bound: 10^22 is exact, 10^23 is not.
+      "1e22", "1e23", "1e-22", "1e-23", "123.456e-20", "123.456e-19",
+      "4.5e21", "45e21", "0.5e-21", "0.5e-22",
+      // Leading zeros, lone dots, signs and zeros.
+      "000.5", "5.", ".5", "-.5", "-5.", "-0", "0", "0.000", "-0.000", "00",
+      "0e5", ".", "-", "-.", "..5", "5..", "1.2.3", "--1", "-+1",
+      // Exponent spellings: 3 and 4 digits, signs, missing digits.
+      "1e010", "1e-010", "1e+010", "1E5", "1e0100", "1e-0005", "1e0001",
+      "1e", "1e+", "1e-", "1ee5", "1e5.5", "1e1000", "1e-1000",
+      // Other grammar that only strtod accepts, and junk.
+      "+1", " 1", "\t1", "0x1p3", "0X10", "1 ", "1x", "inf", "nan", "1.5\r",
+      "5\r", "1e5\r",
+      // Tiny and huge values around the double range.
+      "1e-310", "4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+      "1e308", "1e-300"};
+  Rng rng(15);
+  char buf[64];
+  for (int i = 0; i < 4000; ++i) {
+    const double v =
+        rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform_int(-30, 40));
+    for (const int precision : {6, 12, 17}) {
+      const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                     std::chars_format::general, precision);
+      cells.emplace_back(buf, res.ptr);
+    }
+    const auto shortest = std::to_chars(buf, buf + sizeof buf, v);
+    cells.emplace_back(buf, shortest.ptr);
+    // Random mantissas of 1 to 21 digits, a dot anywhere and exponents on
+    // both sides of the exact range: double rounding shows up here if the
+    // tier's bounds were too wide.
+    std::string m = digit_string(rng, rng.uniform_int(1, 21));
+    if (rng.chance(0.7)) {
+      m.insert(static_cast<std::size_t>(
+                   rng.uniform_int(0, static_cast<int>(m.size()))),
+               ".");
+    }
+    if (rng.chance(0.3)) m = "-" + m;
+    if (rng.chance(0.6)) m += "e" + std::to_string(rng.uniform_int(-40, 40));
+    cells.push_back(m);
+  }
+
+  for (const std::string& cell : cells) {
+    const CellOutcome alone = parsed_cell("a\n" + cell + "\n", 0);
+    expect_same_outcome(alone, reference_cell(cell, "row 2 of cells"),
+                        "'" + cell + "'");
+    const CellOutcome first = parsed_cell("a,b\n" + cell + ",1\n", 0);
+    expect_same_outcome(first, reference_cell(cell, "row 2 of cells"),
+                        "'" + cell + ",1'");
+    const CellOutcome crlf = parsed_cell("a\n" + cell + "\r\n", 0);
+    expect_same_outcome(crlf, reference_cell(cell + "\r", "row 2 of cells"),
+                        "'" + cell + "\\r'");
+    double fc = 0.0;
+    const char* const end = cell.data() + cell.size();
+    const auto [ptr, ec] = std::from_chars(cell.data(), end, fc);
+    if (alone.accepted && ec == std::errc() && ptr == end) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fc),
+                std::bit_cast<std::uint64_t>(alone.value))
+          << "'" << cell << "'";
+    }
+  }
 }
 
 TEST(Table, RendersAlignedRows) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -326,6 +327,39 @@ TEST(SimdKernels, ScansExcludeSamplesPastTheBreaker) {
   EXPECT_EQ(simd::min_until_greater_fwd(xs, 1.0), 0.2);
   std::vector<double> rev{0.1, -9.0, 1.5, 0.2, 0.5};
   EXPECT_EQ(simd::min_until_greater_bwd(rev, 1.0), 0.2);
+}
+
+// Byte counts are exact, so every ISA must equal std::count: random and
+// all-match buffers, every tail length, unaligned starts, and runs long
+// enough to wrap an 8-bit lane counter if a lane were not flushed in time.
+TEST(SimdKernels, CountByteMatchesStdCount) {
+  IsaGuard guard(simd::detected());
+  std::mt19937 rng(77);
+  std::vector<std::size_t> lengths(kLengths.begin(), kLengths.end());
+  lengths.insert(lengths.end(), {33, 63, 255 * 16, 255 * 32, 255 * 32 + 1,
+                                 2 * 255 * 32 + 47, 65536});
+  for (const std::size_t n : lengths) {
+    for (const std::size_t off : kOffsets) {
+      std::vector<char> random(n + off);
+      for (char& c : random) {
+        c = rng() % 4 == 0 ? '\n' : static_cast<char>(rng());
+      }
+      std::vector<char> all(n + off, '\n');
+      for (const auto* buf : {&random, &all}) {
+        const std::span<const char> bytes(buf->data() + off, n);
+        const auto want = static_cast<std::size_t>(
+            std::count(bytes.begin(), bytes.end(), '\n'));
+        const auto [scalar, vector] =
+            both_isas([&] { return simd::count_byte(bytes, '\n'); });
+        EXPECT_EQ(scalar, want) << "n=" << n << " off=" << off;
+        EXPECT_EQ(vector, want) << "n=" << n << " off=" << off;
+      }
+    }
+  }
+  // A needle with the high bit set (bytes compare unsigned and signed alike).
+  const std::vector<char> high(1000, static_cast<char>(0xE9));
+  EXPECT_EQ(simd::count_byte(high, static_cast<char>(0xE9)), 1000u);
+  EXPECT_EQ(simd::count_byte(high, '\n'), 0u);
 }
 
 TEST(SimdKernels, NormalizeLagsBitExact) {

@@ -5,22 +5,32 @@
 // its own slot and the rest of the batch still completes. The parallel
 // trace loader gives the same listing at every thread count, and
 // imu::load_csv's row scanner agrees with the Document path file by file.
+// Loads on a caller's scheduler run only on its threads, and the sizing
+// pass reserves one sample per line.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_hooks.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/ptrack.hpp"
 #include "imu/trace_io.hpp"
+#include "obs/trace.hpp"
 #include "runtime/batch_runner.hpp"
 #include "synth/synthesizer.hpp"
 
@@ -441,4 +451,120 @@ TEST(LoadTraceDir, HostileLineCountsCannotInflateTheReservation) {
     EXPECT_LE(after.bytes - before.bytes, 4 * kBytes + 256 * 1024) << c.dir;
     fs::remove_all(dir);
   }
+}
+
+TEST(LoadTraceDir, ReservationMatchesNewlineCount) {
+  const fs::path dir = fresh_dir("ptrack_test_reservation");
+  constexpr std::size_t kChunk = 64 * 1024;
+  const auto expected = [](const std::string& text) {
+    const auto newlines =
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+    return std::min({newlines + 1, text.size() / 14, imu::kMaxTraceSamples});
+  };
+  // Newlines every 40 bytes, plus on both sides of every 64 KiB read
+  // boundary and in the last bytes (the vector kernels' scalar tail).
+  std::string boundaries(4 * kChunk + 45, 'x');
+  for (std::size_t i = 39; i < boundaries.size(); i += 40) boundaries[i] = '\n';
+  for (std::size_t k = 1; k <= 4; ++k) {
+    boundaries[k * kChunk - 1] = '\n';
+    boundaries[k * kChunk] = '\n';
+    boundaries[k * kChunk + 1] = '\n';
+  }
+  boundaries[boundaries.size() - 2] = '\n';
+  std::string crlf = "t,ax,ay,az,gx,gy,gz\r\n100,0,0,0,0,0,0\r\n";
+  for (int i = 0; i < 5000; ++i) crlf += "0.01,0.5,-0.25,9.81,0,0,0\r\n";
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"empty.csv", ""},
+      {"no_final_newline.csv",
+       "t,ax,ay,az,gx,gy,gz\n100,0,0,0,0,0,0\n0,0,0,9.81,0,0,0"},
+      {"crlf.csv", crlf},
+      {"boundaries.csv", boundaries},
+      {"one_chunk_of_newlines.csv", std::string(kChunk, '\n')},
+      {"chunk_ends_in_newline.csv", std::string(kChunk - 1, 'x') + "\n"},
+  };
+  for (const auto& [name, text] : cases) {
+    write_file(dir / name, text);
+    EXPECT_EQ(runtime::sample_reservation((dir / name).string()),
+              expected(text))
+        << name;
+  }
+  EXPECT_EQ(runtime::sample_reservation((dir / "missing.csv").string()), 0u);
+  fs::remove_all(dir);
+}
+
+namespace {
+
+/// The tids of the closed spans named `name` in the exported Chrome trace.
+std::set<double> span_tids(const std::string& name) {
+  std::ostringstream os;
+  obs::write_chrome_trace(os);
+  const json::Value doc = json::parse(os.str());
+  std::set<double> tids;
+  for (const json::Value& e : doc.at("traceEvents").items()) {
+    if (e.at("name").as_string() == name && e.at("ph").as_string() == "E") {
+      tids.insert(e.at("tid").as_number());
+    }
+  }
+  return tids;
+}
+
+}  // namespace
+
+TEST(LoadTraceDir, RepeatedLoadsOnOneSchedulerStayOnItsThreads) {
+  const fs::path dir = fresh_dir("ptrack_test_sched_load_dir");
+  const auto traces = make_batch(6);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    imu::save_csv(traces[i],
+                  (dir / ("g" + std::to_string(i) + ".csv")).string());
+  }
+  write_file(dir / "bad.csv", "this,is,not\na,trace,file\n");
+
+  obs::set_enabled(true);
+  obs::reset_trace();
+  runtime::SchedulerOptions so;
+  so.workers = 3;
+  runtime::Scheduler sched(so);
+  const std::size_t executors = sched.workers() + 1;
+  // Each executor records one marker span, held open until every executor
+  // holds one, so the markers' tids are exactly the scheduler's threads.
+  std::atomic<std::size_t> arrived{0};
+  sched.parallel_for(runtime::Lane::kThroughput, executors,
+                     [&](std::size_t, std::size_t) {
+                       PTRACK_OBS_SPAN("test.executor");
+                       arrived.fetch_add(1);
+                       const auto deadline = std::chrono::steady_clock::now() +
+                                             std::chrono::seconds(10);
+                       while (arrived.load() < executors &&
+                              std::chrono::steady_clock::now() < deadline) {
+                         std::this_thread::yield();
+                       }
+                     });
+  ASSERT_EQ(arrived.load(), executors);
+
+  const auto first = runtime::load_trace_dir(dir.string(), sched);
+  ASSERT_EQ(first.traces.size(), traces.size());
+  ASSERT_EQ(first.errors.size(), 1u);
+  for (int rep = 0; rep < 4; ++rep) {
+    const auto again = runtime::load_trace_dir(dir.string(), sched);
+    ASSERT_EQ(again.traces.size(), first.traces.size());
+    for (std::size_t i = 0; i < first.traces.size(); ++i) {
+      EXPECT_EQ(again.traces[i].name, first.traces[i].name);
+      expect_same_trace(again.traces[i].trace, first.traces[i].trace,
+                        first.traces[i].name);
+    }
+    ASSERT_EQ(again.errors.size(), 1u);
+    EXPECT_EQ(again.errors[0].trace, "bad.csv");
+    EXPECT_EQ(again.errors[0].message, first.errors[0].message);
+  }
+#if PTRACK_OBS_ENABLED
+  const std::set<double> threads = span_tids("test.executor");
+  ASSERT_EQ(threads.size(), executors);
+  const std::set<double> loaders = span_tids("ptrack.imu.load_csv");
+  EXPECT_FALSE(loaders.empty());
+  for (const double tid : loaders) {
+    EXPECT_EQ(threads.count(tid), 1u) << "load_csv span on tid " << tid;
+  }
+#endif
+  obs::reset_trace();
+  fs::remove_all(dir);
 }
