@@ -155,9 +155,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    // SIMD-off and float32 arms at the 20 s window: the per-PR record of
-    // what the vector kernels and the f32 projection variant buy on the
-    // incremental hot path (simd-on double = the inc_w20 arm above).
+    // SIMD-off arm at the 20 s window: the per-PR record of what the
+    // vector kernels buy on the incremental hot path (simd on = the
+    // inc_w20 arm above).
     {
       core::StreamingConfig cfg;
       cfg.pipeline.stride.profile = {user.arm_length, user.leg_length, 2.0};
@@ -168,8 +168,6 @@ int main(int argc, char** argv) {
       dsp::simd::force_isa(dsp::simd::Isa::kScalar);
       arms.push_back(run_arm("inc_scalar_w20", trace, cfg, repeats));
       dsp::simd::force_isa(dsp::simd::detected());
-      cfg.precision = core::Precision::kFloat32;
-      arms.push_back(run_arm("inc_f32_w20", trace, cfg, repeats));
     }
 
     std::printf(
@@ -195,7 +193,6 @@ int main(int argc, char** argv) {
     const ArmResult& inc40 = find("inc_w40");
     const ArmResult& rec40 = find("rec_w40");
     const ArmResult& inc_scalar = find("inc_scalar_w20");
-    const ArmResult& inc_f32 = find("inc_f32_w20");
     const bool beats_recompute = inc40.hop_mean_us < rec40.hop_mean_us;
     const bool window_independent =
         inc40.hop_mean_us <= 1.5 * inc10.hop_mean_us;
@@ -208,15 +205,9 @@ int main(int argc, char** argv) {
     const double simd_speedup =
         inc20.hop_mean_us > 0.0 ? inc_scalar.hop_mean_us / inc20.hop_mean_us
                                 : 0.0;
-    const double f32_speedup =
-        inc_f32.hop_mean_us > 0.0
-            ? inc_scalar.hop_mean_us / inc_f32.hop_mean_us
-            : 0.0;
-    std::printf(
-        "  simd %s: scalar %.1f us -> double %.1f us (%.2fx) -> f32 %.1f us "
-        "(%.2fx)\n",
-        dsp::simd::isa_name(dsp::simd::detected()), inc_scalar.hop_mean_us,
-        inc20.hop_mean_us, simd_speedup, inc_f32.hop_mean_us, f32_speedup);
+    std::printf("  simd %s: scalar %.1f us -> vector %.1f us (%.2fx)\n",
+                dsp::simd::isa_name(dsp::simd::detected()),
+                inc_scalar.hop_mean_us, inc20.hop_mean_us, simd_speedup);
 
     std::string path = "BENCH_streaming.json";
     if (args.has("json")) {
@@ -247,7 +238,6 @@ int main(int argc, char** argv) {
       w.key("simd_isa").value(
           std::string(dsp::simd::isa_name(dsp::simd::detected())));
       w.key("simd_hop_speedup").value(simd_speedup);
-      w.key("f32_hop_speedup").value(f32_speedup);
       w.end_object();
       w.end_object();
       out << '\n';

@@ -94,7 +94,7 @@ BENCHMARK(BM_ButterworthFiltfiltWorkspace);
 // SIMD micro-kernels, arg 0 = forced scalar fallback, arg 1 = detected ISA:
 // the kernel-level record of the vector win in BENCH_throughput.json. The
 // 3-channel lane-parallel gravity filter is estimate_up's cost on the batch
-// and unpinned paths, so it gets scalar/vector arms in both precisions;
+// and unpinned paths, so it gets scalar/vector arms;
 // BM_AxisEstimator is what a streaming hop pays for the same 20 s window
 // instead; axis_project is the widest pure-map kernel.
 void BM_FiltfiltMulti3(benchmark::State& state) {
@@ -116,28 +116,6 @@ void BM_FiltfiltMulti3(benchmark::State& state) {
                           static_cast<int64_t>(3 * n));
 }
 BENCHMARK(BM_FiltfiltMulti3)->ArgName("simd")->Arg(0)->Arg(1);
-
-void BM_FiltfiltMulti3F32(benchmark::State& state) {
-  const auto xs = walking_minute().trace.accel_magnitude();
-  const std::size_t n = 2000;
-  std::vector<float> xf(3 * n);
-  dsp::simd::narrow({xs.data(), 3 * n}, xf);
-  const std::array<std::span<const float>, 3> chans{
-      std::span<const float>(xf.data(), n),
-      std::span<const float>(xf.data() + n, n),
-      std::span<const float>(xf.data() + 2 * n, n)};
-  const auto cascade = dsp::butterworth_lowpass(2, 0.3, 100.0);
-  dsp::Workspace ws;
-  dsp::simd::force_isa(state.range(0) != 0 ? dsp::simd::detected()
-                                           : dsp::simd::Isa::kScalar);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::filtfilt_multif_mean(cascade, chans, 64, ws));
-  }
-  dsp::simd::force_isa(dsp::simd::detected());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(3 * n));
-}
-BENCHMARK(BM_FiltfiltMulti3F32)->ArgName("simd")->Arg(0)->Arg(1);
 
 void BM_AxisEstimator(benchmark::State& state) {
   const auto xs = walking_minute().trace.accel_magnitude();

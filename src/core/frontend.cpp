@@ -85,7 +85,6 @@ void finish_into(std::span<const double> vertical,
                  std::span<const double> anterior, double fs,
                  double lowpass_hz, dsp::Workspace* ws, ProjectedTrace& out) {
   out.fs = fs;
-  const double fc = std::min(lowpass_hz, 0.45 * fs);
   const std::size_t n = vertical.size();
   out.vertical.resize(n);
   out.anterior.resize(n);
@@ -94,11 +93,14 @@ void finish_into(std::span<const double> vertical,
     // pass; per channel bit-identical to zero_phase_lowpass.
     const std::array<std::span<const double>, 2> ins{vertical, anterior};
     const std::array<std::span<double>, 2> outs{out.vertical, out.anterior};
-    dsp::filtfilt_multi_into(dsp::butterworth_lowpass(4, fc, fs), ins, 64,
-                             *ws, outs);
+    dsp::filtfilt_multi_into(projection_lowpass(lowpass_hz, fs), ins,
+                             kProjectionFilterPad, *ws, outs);
   } else {
-    const std::vector<double> v = dsp::zero_phase_lowpass(vertical, fc, fs, 4);
-    const std::vector<double> a = dsp::zero_phase_lowpass(anterior, fc, fs, 4);
+    const dsp::BiquadCascade lowpass = projection_lowpass(lowpass_hz, fs);
+    const std::vector<double> v =
+        dsp::filtfilt(lowpass, vertical, kProjectionFilterPad);
+    const std::vector<double> a =
+        dsp::filtfilt(lowpass, anterior, kProjectionFilterPad);
     std::copy(v.begin(), v.end(), out.vertical.begin());
     std::copy(a.begin(), a.end(), out.anterior.begin());
   }
@@ -111,10 +113,8 @@ void finish_into(std::span<const double> vertical,
 template <typename Forces>
 void anterior_channel_into(const Forces& forces, const UpField& ups,
                            double fs, double anterior_window_s, Vec3& seam_dir,
-                           const Vec3* fixed_dir,
-                           std::vector<double>& anterior) {
+                           const Vec3* fixed_dir, std::span<double> anterior) {
   const std::size_t n = forces.size();
-  anterior.assign(n, 0.0);
 
   const auto project_range = [&](std::size_t begin, std::size_t end) {
     const Vec3 up = ups.window_mean(begin, end);
@@ -131,7 +131,7 @@ void anterior_channel_into(const Forces& forces, const UpField& ups,
         dsp::simd::residual_project(
             forces.x.subspan(begin, count), forces.y.subspan(begin, count),
             forces.z.subspan(begin, count), ups.constant(), dir,
-            std::span<double>(anterior).subspan(begin, count));
+            anterior.subspan(begin, count));
         return;
       }
     }
@@ -158,17 +158,13 @@ void anterior_channel_into(const Forces& forces, const UpField& ups,
   }
 }
 
+/// The unfiltered vertical and anterior channels (both sized
+/// forces.size()): the input of finish_into's zero-phase low-pass.
 template <typename Forces>
-void project_common_into(const Forces& forces, double fs, double lowpass_hz,
-                         double anterior_window_s, const UpField& ups,
-                         dsp::Workspace* ws, Vec3& seam_dir,
-                         const Vec3* fixed_dir, ProjectedTrace& out) {
-  // Raw (pre-filter) channels in per-thread scratch: both are transient
-  // inputs to the zero-phase filter, so reusing them across calls removes
-  // the two per-hop vector constructions the streaming path used to pay.
-  thread_local std::vector<double> vertical;
-  thread_local std::vector<double> anterior;
-  vertical.resize(forces.size());
+void project_raw_into(const Forces& forces, double fs,
+                      double anterior_window_s, const UpField& ups,
+                      Vec3& seam_dir, const Vec3* fixed_dir,
+                      std::span<double> vertical, std::span<double> anterior) {
   bool vertical_done = false;
   if constexpr (std::is_same_v<Forces, SoaForces>) {
     if (ups.is_constant()) {
@@ -184,6 +180,22 @@ void project_common_into(const Forces& forces, double fs, double lowpass_hz,
   }
   anterior_channel_into(forces, ups, fs, anterior_window_s, seam_dir,
                         fixed_dir, anterior);
+}
+
+template <typename Forces>
+void project_common_into(const Forces& forces, double fs, double lowpass_hz,
+                         double anterior_window_s, const UpField& ups,
+                         dsp::Workspace* ws, Vec3& seam_dir,
+                         const Vec3* fixed_dir, ProjectedTrace& out) {
+  // Raw (pre-filter) channels in per-thread scratch: both are transient
+  // inputs to the zero-phase filter, so reusing them across calls removes
+  // two vector constructions per call.
+  thread_local std::vector<double> vertical;
+  thread_local std::vector<double> anterior;
+  vertical.resize(forces.size());
+  anterior.resize(forces.size());
+  project_raw_into(forces, fs, anterior_window_s, ups, seam_dir, fixed_dir,
+                   vertical, anterior);
   finish_into(vertical, anterior, fs, lowpass_hz, ws, out);
 }
 
@@ -199,82 +211,11 @@ ProjectedTrace project_common(const Forces& forces, double fs,
   return out;
 }
 
-/// Float32 gravity estimate: lane-parallel float filtfilt + per-channel
-/// means, widened to a double direction (the three axis components carry
-/// their error into every projected sample, so they are kept in double).
-Vec3 estimate_up_f32(std::span<const float> x, std::span<const float> y,
-                     std::span<const float> z, double fs, double cutoff_hz,
-                     dsp::Workspace& ws) {
-  expects(x.size() >= 4, "estimate_up_f32: >= 4 samples");
-  const double fc = std::min(cutoff_hz, 0.45 * fs);
-  const std::array<std::span<const float>, 3> chans{x, y, z};
-  const auto means =
-      dsp::filtfilt_multif_mean(dsp::butterworth_lowpass(2, fc, fs), chans,
-                                64, ws);
-  const Vec3 g{static_cast<double>(means[0]), static_cast<double>(means[1]),
-               static_cast<double>(means[2])};
-  check(g.norm() > 1e-6, "estimate_up_f32: gravity magnitude not degenerate");
-  return g.normalized();
-}
-
-/// Float32 principal horizontal direction: the per-sample residual
-/// projections run in float through the SIMD kernel; the 2x2 covariance is
-/// accumulated in double over those float coordinates.
-Vec3 principal_horizontal_f32(std::span<const float> x,
-                              std::span<const float> y,
-                              std::span<const float> z, const Vec3& up,
-                              dsp::Workspace& ws) {
-  const std::size_t n = x.size();
-  expects(n > 0, "principal_horizontal_f32: non-empty");
-  const Vec3 ref = std::abs(up.z) < 0.9 ? kVertical : kAnterior;
-  const Vec3 e1 = up.cross(ref).normalized();
-  const Vec3 e2 = up.cross(e1).normalized();
-
-  auto& scratch = ws.float_scratch(1, 2 * n);
-  const std::span<float> ta(scratch.data(), n);
-  const std::span<float> tb(scratch.data() + n, n);
-  dsp::simd::residual_projectf(x, y, z, up, e1, ta);
-  dsp::simd::residual_projectf(x, y, z, up, e2, tb);
-
-  double m1 = 0.0;
-  double m2 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    m1 += static_cast<double>(ta[i]);
-    m2 += static_cast<double>(tb[i]);
-  }
-  m1 /= static_cast<double>(n);
-  m2 /= static_cast<double>(n);
-  double s11 = 0.0;
-  double s12 = 0.0;
-  double s22 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double a = static_cast<double>(ta[i]) - m1;
-    const double b = static_cast<double>(tb[i]) - m2;
-    s11 += a * a;
-    s12 += a * b;
-    s22 += b * b;
-  }
-
-  const double tr = s11 + s22;
-  const double det = s11 * s22 - s12 * s12;
-  const double lambda =
-      0.5 * tr + std::sqrt(std::max(0.25 * tr * tr - det, 0.0));
-  double v1;
-  double v2;
-  if (std::abs(s12) > 1e-12) {
-    v1 = lambda - s22;
-    v2 = s12;
-  } else if (s11 >= s22) {
-    v1 = 1.0;
-    v2 = 0.0;
-  } else {
-    v1 = 0.0;
-    v2 = 1.0;
-  }
-  return (e1 * v1 + e2 * v2).normalized();
-}
-
 }  // namespace
+
+dsp::BiquadCascade projection_lowpass(double lowpass_hz, double fs) {
+  return dsp::butterworth_lowpass(4, std::min(lowpass_hz, 0.45 * fs), fs);
+}
 
 ProjectedTrace project_trace(const imu::Trace& trace, double lowpass_hz,
                              double anterior_window_s, dsp::Workspace* ws) {
@@ -311,6 +252,41 @@ ProjectedTrace project_trace_with_attitude(const imu::Trace& trace,
                         ws, seam_dir);
 }
 
+void project_channels_raw(std::span<const double> ax,
+                          std::span<const double> ay,
+                          std::span<const double> az, double fs,
+                          double anterior_window_s, std::span<const Vec3> ups,
+                          dsp::Workspace* ws, ProjectionSeam* seam,
+                          const dsp::WindowAxes* pinned,
+                          std::span<double> vertical,
+                          std::span<double> anterior) {
+  expects(ax.size() == ay.size() && ay.size() == az.size(),
+          "project_channels: equal channel lengths");
+  expects(ups.empty() || ups.size() == ax.size(),
+          "project_channels: ups empty or one per sample");
+  expects(vertical.size() == ax.size() && anterior.size() == ax.size(),
+          "project_channels: outputs sized to the channels");
+  expects(fs > 0.0, "project_channels: fs > 0");
+  expects(pinned != nullptr || ax.size() >= 16,
+          "project_channels: >= 16 samples to fit the axes");
+  PTRACK_OBS_SPAN("ptrack.core.project");
+  PTRACK_COUNT("ptrack.core.projections");
+  const SoaForces forces{ax, ay, az};
+  Vec3 local_seam{};
+  Vec3& seam_dir = seam ? seam->prev_anterior_dir : local_seam;
+  const Vec3* fixed_dir = pinned ? &pinned->forward : nullptr;
+  if (!ups.empty()) {
+    project_raw_into(forces, fs, anterior_window_s, UpField(ups), seam_dir,
+                     fixed_dir, vertical, anterior);
+    return;
+  }
+  const Vec3 up = pinned ? pinned->up
+                         : dsp::estimate_up(ax, ay, az, fs,
+                                            dsp::kGravityCutoffHz, ws);
+  project_raw_into(forces, fs, anterior_window_s, UpField(up), seam_dir,
+                   fixed_dir, vertical, anterior);
+}
+
 void project_channels_into(std::span<const double> ax,
                            std::span<const double> ay,
                            std::span<const double> az, double fs,
@@ -319,28 +295,15 @@ void project_channels_into(std::span<const double> ax,
                            ProjectionSeam* seam,
                            const dsp::WindowAxes* pinned, ProjectedTrace& out) {
   expects(ax.size() >= 16, "project_channels: >= 16 samples");
-  expects(ax.size() == ay.size() && ay.size() == az.size(),
-          "project_channels: equal channel lengths");
-  expects(ups.empty() || ups.size() == ax.size(),
-          "project_channels: ups empty or one per sample");
-  expects(fs > 0.0, "project_channels: fs > 0");
   expects(lowpass_hz > 0.0, "project_channels: lowpass_hz > 0");
-  PTRACK_OBS_SPAN("ptrack.core.project");
-  PTRACK_COUNT("ptrack.core.projections");
-  const SoaForces forces{ax, ay, az};
-  Vec3 local_seam{};
-  Vec3& seam_dir = seam ? seam->prev_anterior_dir : local_seam;
-  const Vec3* fixed_dir = pinned ? &pinned->forward : nullptr;
-  if (!ups.empty()) {
-    project_common_into(forces, fs, lowpass_hz, anterior_window_s,
-                        UpField(ups), ws, seam_dir, fixed_dir, out);
-    return;
-  }
-  const Vec3 up = pinned ? pinned->up
-                         : dsp::estimate_up(ax, ay, az, fs,
-                                            dsp::kGravityCutoffHz, ws);
-  project_common_into(forces, fs, lowpass_hz, anterior_window_s, UpField(up),
-                      ws, seam_dir, fixed_dir, out);
+  // Raw channels in per-thread scratch (see project_common_into).
+  thread_local std::vector<double> vertical;
+  thread_local std::vector<double> anterior;
+  vertical.resize(ax.size());
+  anterior.resize(ax.size());
+  project_channels_raw(ax, ay, az, fs, anterior_window_s, ups, ws, seam,
+                       pinned, vertical, anterior);
+  finish_into(vertical, anterior, fs, lowpass_hz, ws, out);
 }
 
 ProjectedTrace project_channels(std::span<const double> ax,
@@ -353,96 +316,6 @@ ProjectedTrace project_channels(std::span<const double> ax,
   ProjectedTrace out;
   project_channels_into(ax, ay, az, fs, lowpass_hz, anterior_window_s, ups, ws,
                         seam, pinned, out);
-  return out;
-}
-
-void project_channels_f32_into(std::span<const float> ax,
-                               std::span<const float> ay,
-                               std::span<const float> az, double fs,
-                               double lowpass_hz, double anterior_window_s,
-                               dsp::Workspace& ws, ProjectionSeam* seam,
-                               const dsp::WindowAxes* pinned,
-                               ProjectedTraceF& out) {
-  expects(ax.size() >= 16, "project_channels_f32: >= 16 samples");
-  expects(ax.size() == ay.size() && ay.size() == az.size(),
-          "project_channels_f32: equal channel lengths");
-  expects(fs > 0.0, "project_channels_f32: fs > 0");
-  expects(lowpass_hz > 0.0, "project_channels_f32: lowpass_hz > 0");
-  PTRACK_OBS_SPAN("ptrack.core.project");
-  PTRACK_COUNT("ptrack.core.projections");
-
-  const Vec3 up =
-      pinned ? pinned->up
-             : estimate_up_f32(ax, ay, az, fs, dsp::kGravityCutoffHz, ws);
-
-  Vec3 local_seam{};
-  Vec3& seam_dir = seam ? seam->prev_anterior_dir : local_seam;
-  const std::size_t n = ax.size();
-  // Raw channels in per-thread scratch (see project_common_into).
-  thread_local std::vector<float> vertical;
-  thread_local std::vector<float> anterior;
-  vertical.resize(n);
-  anterior.resize(n);
-  dsp::simd::axis_projectf(ax, ay, az, up, static_cast<float>(kGravity),
-                           vertical);
-
-  const auto project_range = [&](std::size_t begin, std::size_t end,
-                                 const Vec3* pinned_dir) {
-    const std::size_t count = end - begin;
-    Vec3 dir = pinned_dir
-                   ? *pinned_dir
-                   : principal_horizontal_f32(ax.subspan(begin, count),
-                                              ay.subspan(begin, count),
-                                              az.subspan(begin, count), up,
-                                              ws);
-    if (seam_dir.norm2() > 0.0 && dir.dot(seam_dir) < 0.0) dir = -dir;
-    seam_dir = dir;
-    dsp::simd::residual_projectf(
-        ax.subspan(begin, count), ay.subspan(begin, count),
-        az.subspan(begin, count), up, dir,
-        std::span<float>(anterior).subspan(begin, count));
-  };
-
-  if (pinned) {
-    project_range(0, n, &pinned->forward);
-  } else if (anterior_window_s <= 0.0) {
-    project_range(0, n, nullptr);
-  } else {
-    const auto window = std::max<std::size_t>(
-        32, static_cast<std::size_t>(anterior_window_s * fs));
-    std::size_t begin = 0;
-    while (begin < n) {
-      std::size_t end = std::min(begin + window, n);
-      if (n - end < window / 2) end = n;
-      project_range(begin, end, nullptr);
-      begin = end;
-    }
-  }
-
-  out.fs = fs;
-  out.vertical.resize(n);
-  out.anterior.resize(n);
-  const double fc = std::min(lowpass_hz, 0.45 * fs);
-  const std::array<std::span<const float>, 2> ins{std::span<const float>(
-                                                      vertical.data(), n),
-                                                  std::span<const float>(
-                                                      anterior.data(), n)};
-  const std::array<std::span<float>, 2> outs{out.vertical, out.anterior};
-  dsp::filtfilt_multif_into(dsp::butterworth_lowpass(4, fc, fs), ins, 64, ws,
-                            outs);
-}
-
-ProjectedTraceF project_channels_f32(std::span<const float> ax,
-                                     std::span<const float> ay,
-                                     std::span<const float> az, double fs,
-                                     double lowpass_hz,
-                                     double anterior_window_s,
-                                     dsp::Workspace& ws,
-                                     ProjectionSeam* seam,
-                                     const dsp::WindowAxes* pinned) {
-  ProjectedTraceF out;
-  project_channels_f32_into(ax, ay, az, fs, lowpass_hz, anterior_window_s, ws,
-                            seam, pinned, out);
   return out;
 }
 

@@ -45,9 +45,9 @@ ProjectedTrace project_trace_with_attitude(const imu::Trace& trace,
 
 /// Sign-continuity state for the anterior principal direction, carried
 /// across successive projection calls. PCA is sign-ambiguous; a streaming
-/// pipeline that re-projects overlapping tails each hop must keep the
-/// anterior channel's sign stable across hops, so it threads one seam
-/// through every call. A zero-initialized seam (or none) reproduces batch
+/// pipeline that projects each hop's new samples with that hop's axes
+/// must keep the anterior channel's sign stable across hops, so it
+/// threads one seam through every call. A zero-initialized seam (or none) reproduces batch
 /// behaviour exactly.
 struct ProjectionSeam {
   Vec3 prev_anterior_dir{};
@@ -62,10 +62,9 @@ struct ProjectionSeam {
 /// direction is the batch gravity estimate over the spans.
 ///
 /// `pinned` (optional) fixes the axes: a unit up and a unit anterior
-/// direction. Axes fit to the short tail an incremental pipeline
-/// re-projects each hop wander with local gestures, so the streaming
-/// projection stage fits them to a longer raw history
-/// (dsp::AxisEstimator) and pins them here. Null means "estimate from the
+/// direction. Axes fit to one hop's samples would wander with local
+/// gestures, so the streaming projection stage fits them to a longer raw
+/// history (dsp::AxisEstimator) and pins them here. Null means "estimate from the
 /// projected span", the batch behaviour. With per-sample `ups` the up
 /// track is used as given and only `pinned->forward` applies.
 ProjectedTrace project_channels(std::span<const double> ax,
@@ -79,9 +78,9 @@ ProjectedTrace project_channels(std::span<const double> ax,
                                 const dsp::WindowAxes* pinned = nullptr);
 
 /// Reuse-friendly form of project_channels: fills `out` in place (resizing
-/// its channels), so a caller that keeps one ProjectedTrace across hops
-/// stops allocating once the channel capacity has warmed up. This is the
-/// variant the streaming projection stage calls at steady state.
+/// its channels), so a caller that keeps one ProjectedTrace across calls
+/// stops allocating once the channel capacity has warmed up. A fresh
+/// core::ProjectionStage's single flush reproduces it bit for bit.
 void project_channels_into(std::span<const double> ax,
                            std::span<const double> ay,
                            std::span<const double> az, double fs,
@@ -90,42 +89,26 @@ void project_channels_into(std::span<const double> ax,
                            ProjectionSeam* seam,
                            const dsp::WindowAxes* pinned, ProjectedTrace& out);
 
-/// Float32 projection results (see project_channels_f32).
-struct ProjectedTraceF {
-  std::vector<float> vertical;
-  std::vector<float> anterior;
-  double fs = 0.0;
-};
+/// The unfiltered half of project_channels_into: the vertical and anterior
+/// channels it passes to its zero-phase low-pass, written into `vertical`
+/// and `anterior` (each sized ax.size()). Same arguments and axis semantics
+/// as project_channels_into; with `pinned` set it needs no minimum length,
+/// so a streaming caller can project each hop's new samples alone.
+void project_channels_raw(std::span<const double> ax,
+                          std::span<const double> ay,
+                          std::span<const double> az, double fs,
+                          double anterior_window_s, std::span<const Vec3> ups,
+                          dsp::Workspace* ws, ProjectionSeam* seam,
+                          const dsp::WindowAxes* pinned,
+                          std::span<double> vertical,
+                          std::span<double> anterior);
 
-/// Float32 fast-path projection over float channel spans (e.g. the
-/// SampleRing's float mirrors). Same structure as project_channels — batch
-/// gravity estimate, principal horizontal direction, vertical + anterior
-/// projection, zero-phase low-pass — but every per-sample pass runs in
-/// float32 through the SIMD kernels (twice the lane width and half the
-/// memory traffic). Axis *directions* are still reduced in double: they are
-/// three numbers whose error multiplies every sample. No attitude-filter
-/// (per-sample ups) variant: callers needing it stay on the double path.
-/// `pinned` (optional) fixes both axes, as in project_channels.
-/// Divergence from the double pipeline is bounded by float rounding in the
-/// projections and filters; tests/test_streaming_f32.cpp gates it against
-/// the batch-double oracle.
-ProjectedTraceF project_channels_f32(std::span<const float> ax,
-                                     std::span<const float> ay,
-                                     std::span<const float> az, double fs,
-                                     double lowpass_hz,
-                                     double anterior_window_s,
-                                     dsp::Workspace& ws,
-                                     ProjectionSeam* seam = nullptr,
-                                     const dsp::WindowAxes* pinned = nullptr);
+/// Odd-reflection pad (samples a side, clamped to n - 1) of the projection
+/// low-pass.
+inline constexpr std::size_t kProjectionFilterPad = 64;
 
-/// Reuse-friendly float32 form: fills `out` in place (see
-/// project_channels_into).
-void project_channels_f32_into(std::span<const float> ax,
-                               std::span<const float> ay,
-                               std::span<const float> az, double fs,
-                               double lowpass_hz, double anterior_window_s,
-                               dsp::Workspace& ws, ProjectionSeam* seam,
-                               const dsp::WindowAxes* pinned,
-                               ProjectedTraceF& out);
+/// The zero-phase low-pass project_channels_into applies to both channels:
+/// an order-4 Butterworth at min(lowpass_hz, 0.45 fs).
+dsp::BiquadCascade projection_lowpass(double lowpass_hz, double fs);
 
 }  // namespace ptrack::core

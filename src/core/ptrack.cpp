@@ -55,10 +55,6 @@ TrackResult PTrack::process(const imu::Trace& trace) const {
   return result;
 }
 
-TrackResult PTrack::process_repaired(const imu::Trace& trace) const {
-  return run_pipeline(trace, nullptr);
-}
-
 TrackResult PTrack::run_pipeline(
     const imu::Trace& trace, const std::vector<std::uint8_t>* flags) const {
   if (trace.size() < 16) return {};
@@ -80,6 +76,8 @@ TrackResult PTrack::run_pipeline(
   result.steps = result.events.size();
   const StageStats& stats = pipeline.stats();
   result.timing.project_us = stats.project_us;
+  result.timing.segment_us = stats.segment_us;
+  result.timing.classify_us = stats.classify_us;
   result.timing.count_us = stats.count_us;
   result.timing.stride_us = stats.stride_us;
   result.timing.total_us =

@@ -66,9 +66,6 @@ class PTrack {
   void set_profile(const StrideProfile& profile);
 
  private:
-  /// The pre-quality pipeline body (projection -> counting -> strides).
-  [[nodiscard]] TrackResult process_repaired(const imu::Trace& trace) const;
-
   /// Batch driver: loads the trace (with optional per-sample quality flags)
   /// into a ring and flushes one StagePipeline over it.
   [[nodiscard]] TrackResult run_pipeline(

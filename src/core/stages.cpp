@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "common/error.hpp"
-#include "dsp/peaks.hpp"
 #include "imu/quality.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -26,20 +25,16 @@ namespace {
 // ProjectionStage
 
 ProjectionStage::ProjectionStage(const StepCounterConfig& cfg, double fs,
-                                 dsp::Workspace* ws, Precision precision)
+                                 dsp::Workspace* ws)
     : cfg_(cfg),
       fs_(fs),
       ws_(ws),
-      precision_(precision),
-      ctx_(seconds_to_samples(kProjectionCtxS, fs)),
       margin_(seconds_to_samples(kProjectionMarginS, fs)),
       axis_window_(seconds_to_samples(kProjectionAxisWindowS, fs)),
-      axes_(fs, axis_window_) {
+      axes_(fs, axis_window_),
+      lowpass_(projection_lowpass(cfg.lowpass_hz, fs)) {
   expects(fs > 0.0, "ProjectionStage: fs > 0");
-  expects(precision == Precision::kDouble || !cfg.use_attitude_filter,
-          "ProjectionStage: float32 precision has no attitude-filter path");
-  expects(precision == Precision::kDouble || ws != nullptr,
-          "ProjectionStage: float32 precision requires a workspace");
+  expects(cfg.lowpass_hz > 0.0, "ProjectionStage: lowpass_hz > 0");
 }
 
 void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
@@ -57,81 +52,167 @@ void ProjectionStage::advance(const imu::SampleRing& ring, bool flush) {
     }
   }
 
-  const std::size_t stable = vert_.end();
   const std::size_t target = flush ? end : (end > margin_ ? end - margin_ : 0);
-  if (target > stable) {
-    // Re-project a trailing context region so the zero-phase filters see
-    // settled left state and fresh right context; keep only [stable, target).
-    std::size_t begin = stable > ctx_ ? stable - ctx_ : 0;
-    begin = std::max(begin, ring.base());
-    if (end - begin >= 16) {
-      // Pin the projection axes to a longer trailing history than the
-      // re-projected span whenever one is retained (incremental hops); in
-      // a batch flush begin == ring.base() and the history degenerates to
-      // the projected span itself, i.e. exactly the batch axis estimate.
-      // Windowed anterior mode re-fits the direction per window by design,
-      // so it keeps the span-local fit.
-      std::size_t axis_begin = end > axis_window_ ? end - axis_window_ : 0;
-      axis_begin = std::max(axis_begin, ring.base());
-      std::optional<dsp::WindowAxes> pinned;
-      if (cfg_.anterior_window_s <= 0.0 && axis_begin < begin) {
-        pinned = pin_axes(ring, axis_begin, begin, end);
-      }
-      const dsp::WindowAxes* axes = pinned ? &*pinned : nullptr;
-      if (precision_ == Precision::kFloat32) {
-        // f32 fast path: project the ring's float mirrors, widen the
-        // finalized tail back into the double rings. Downstream stages are
-        // precision-blind.
-        project_channels_f32_into(
-            ring.axf(begin, end), ring.ayf(begin, end), ring.azf(begin, end),
-            fs_, cfg_.lowpass_hz, cfg_.anterior_window_s, *ws_, &seam_, axes,
-            projf_);
-        for (std::size_t i = stable; i < target; ++i) {
-          vert_.push(static_cast<double>(projf_.vertical[i - begin]));
-          ant_.push(static_cast<double>(projf_.anterior[i - begin]));
-        }
-      } else {
-        project_channels_into(
-            ring.ax(begin, end), ring.ay(begin, end), ring.az(begin, end), fs_,
-            cfg_.lowpass_hz, cfg_.anterior_window_s,
-            cfg_.use_attitude_filter ? ups_.span(begin, end)
-                                     : std::span<const Vec3>{},
-            ws_, &seam_, axes, proj_);
-        for (std::size_t i = stable; i < target; ++i) {
-          vert_.push(proj_.vertical[i - begin]);
-          ant_.push(proj_.anterior[i - begin]);
-        }
-      }
-    }
+  // The first projection fits the batch axes to its own span, which needs
+  // 16 samples; later hops project whatever is new with pinned axes.
+  if (target > vert_.end() && (started_ || end >= 16)) {
+    // The open region's forward output lives in per-thread scratch for
+    // the hop: the carried part first, then the new samples and the right
+    // pad. Only the part behind the new frontier is kept (in carry_), so
+    // a batch flush's whole-trace buffer is reused by the next trace.
+    thread_local dsp::AlignedVector<double> work;
+    // ptrack-lint: allow(alloc) per-thread scratch; steady capacity
+    work.assign(carry_.begin(), carry_.end());
+    project_new(ring, end, work);
+    finalize(target, work);
   }
   if (cfg_.use_attitude_filter) ups_.trim_to(min_required());
 }
 
+void ProjectionStage::project_new(const imu::SampleRing& ring,
+                                  std::size_t end,
+                                  dsp::AlignedVector<double>& work) {
+  constexpr std::size_t kL = dsp::simd::kIirLanes;
+  PTRACK_CHECK_MSG(ring.base() <= projected_ && projected_ <= end,
+                   "ProjectionStage: ring retains the unprojected samples");
+  const std::size_t begin = projected_;
+  const std::size_t n = end - begin;
+  if (n == 0) return;
+  // The first projection is the batch one: axes fit to its whole span.
+  std::optional<dsp::WindowAxes> pinned;
+  if (started_) pinned = pin_axes(ring, end);
+  // Unfiltered channels in per-thread scratch: transient per hop, and a
+  // batch run's fresh stage reuses the capacity of the traces before it.
+  thread_local std::vector<double> hop_vert;
+  thread_local std::vector<double> hop_ant;
+  // ptrack-lint: push-allow(alloc) per-thread scratch; steady capacity
+  hop_vert.resize(n);
+  hop_ant.resize(n);
+  project_channels_raw(
+      ring.ax(begin, end), ring.ay(begin, end), ring.az(begin, end), fs_,
+      cfg_.anterior_window_s,
+      cfg_.use_attitude_filter ? ups_.span(begin, end)
+                               : std::span<const Vec3>{},
+      ws_, &seam_, pinned ? &*pinned : nullptr, hop_vert, hop_ant);
+
+  if (!started_) {
+    // Left odd-reflection pad through the forward cascade, as the batch
+    // filter starts (dsp::filtfilt_multi_into).
+    started_ = true;
+    pad_ = std::min(kProjectionFilterPad, n - 1);
+    work.assign(pad_ * kL, 0.0);
+    dsp::reflect_left(hop_vert, pad_, work.data(), 0);
+    dsp::reflect_left(hop_ant, pad_, work.data(), 1);
+    lowpass_.forward(work.data(), pad_, forward_);
+    work.clear();
+  }
+  const std::size_t off = work.size();
+  // Room for the right pad too, so finalize() does not regrow it.
+  work.reserve(off + (n + pad_) * kL);
+  work.resize(off + n * kL);
+  double* out = work.data() + off;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i * kL] = hop_vert[i];
+    out[i * kL + 1] = hop_ant[i];
+    out[i * kL + 2] = 0.0;
+    out[i * kL + 3] = 0.0;
+  }
+  keep_tail(tail_vert_, hop_vert);
+  keep_tail(tail_ant_, hop_ant);
+  // ptrack-lint: pop-allow(alloc)
+  lowpass_.forward(out, n, forward_);
+  projected_ = end;
+}
+
+void ProjectionStage::keep_tail(std::vector<double>& tail,
+                                std::span<const double> fresh) const {
+  // The right pad reflects the last pad_ + 1 unfiltered samples; the
+  // first projection holds at least that many (pad_ < its length).
+  const std::size_t keep = pad_ + 1;
+  PTRACK_CHECK_MSG(tail.size() + fresh.size() >= keep,
+                   "ProjectionStage: the tail covers the reflection pad");
+  // ptrack-lint: push-allow(alloc) at most pad_ + 1 values; steady capacity
+  if (fresh.size() >= keep) {
+    tail.assign(fresh.end() - static_cast<std::ptrdiff_t>(keep), fresh.end());
+    return;
+  }
+  tail.erase(tail.begin(),
+             tail.begin() + static_cast<std::ptrdiff_t>(
+                                tail.size() + fresh.size() - keep));
+  tail.insert(tail.end(), fresh.begin(), fresh.end());
+  // ptrack-lint: pop-allow(alloc)
+}
+
+void ProjectionStage::finalize(std::size_t target,
+                               dsp::AlignedVector<double>& work) {
+  constexpr std::size_t kL = dsp::simd::kIirLanes;
+  const std::size_t stable = vert_.end();
+  PTRACK_CHECK_MSG(stable < target && target <= projected_ &&
+                       work.size() == (projected_ - stable) * kL,
+                   "ProjectionStage: forward output spans the open region");
+  const std::size_t live = projected_ - stable;
+  // What the next hop's reverse pass starts from: the forward output
+  // behind the new frontier.
+  // ptrack-lint: push-allow(alloc) capacity reused across hops
+  carry_.assign(work.begin() +
+                    static_cast<std::ptrdiff_t>((target - stable) * kL),
+                work.end());
+  work.resize((live + pad_) * kL);
+  // ptrack-lint: pop-allow(alloc)
+  double* pad = work.data() + live * kL;
+  dsp::reflect_right(tail_vert_, pad_, pad, 0);
+  dsp::reflect_right(tail_ant_, pad_, pad, 1);
+  for (std::size_t i = 0; i < pad_; ++i) {
+    pad[i * kL + 2] = 0.0;
+    pad[i * kL + 3] = 0.0;
+  }
+  dsp::simd::CascadeState pad_state = forward_;
+  lowpass_.forward(pad, pad_, pad_state);
+  lowpass_.reverse(work.data(), live + pad_);
+  for (std::size_t i = stable; i < target; ++i) {
+    vert_.push(work[(i - stable) * kL]);
+    ant_.push(work[(i - stable) * kL + 1]);
+  }
+}
+
 dsp::WindowAxes ProjectionStage::pin_axes(const imu::SampleRing& ring,
-                                          std::size_t axis_begin,
-                                          std::size_t begin, std::size_t end) {
-  PTRACK_CHECK_MSG(axis_begin < begin && begin < end,
-                   "ProjectionStage: axis history reaches behind the span");
-  const auto hx = ring.ax(axis_begin, end);
-  const auto hy = ring.ay(axis_begin, end);
-  const auto hz = ring.az(axis_begin, end);
-  if (!cfg_.use_attitude_filter) return axes_.estimate(hx, hy, hz);
-  // Attitude mode keeps its per-sample up track; only the anterior
-  // direction is pinned, fit against the track's mean over the span.
-  Vec3 up{};
-  for (const Vec3& u : ups_.span(begin, end)) up += u;
-  up = up.normalized();
-  return {up, dsp::AxisEstimator::forward(hx, hy, hz, up)};
+                                          std::size_t end) {
+  PTRACK_CHECK_MSG(started_ && ring.base() < end,
+                   "ProjectionStage: pinned axes follow the first projection");
+  std::size_t begin = end > axis_window_ ? end - axis_window_ : 0;
+  begin = std::max(begin, ring.base());
+  const auto hx = ring.ax(begin, end);
+  const auto hy = ring.ay(begin, end);
+  const auto hz = ring.az(begin, end);
+  dsp::WindowAxes axes{};
+  if (cfg_.use_attitude_filter) {
+    // Attitude mode projects against its per-sample up track; only the
+    // anterior direction is pinned, fit against the track's mean.
+    Vec3 up{};
+    for (const Vec3& u : ups_.span(begin, end)) up += u;
+    axes.up = up.normalized();
+  } else {
+    axes = axes_.estimate(hx, hy, hz);
+  }
+  if (cfg_.anterior_window_s > 0.0) {
+    // Windowed anterior mode re-fits the direction per window by design:
+    // fit it to the last window only.
+    const auto window = std::max<std::size_t>(
+        32, static_cast<std::size_t>(cfg_.anterior_window_s * fs_));
+    const std::size_t n = std::min(window, end - begin);
+    axes.forward = dsp::AxisEstimator::forward(
+        hx.last(n), hy.last(n), hz.last(n), axes.up);
+  } else if (cfg_.use_attitude_filter) {
+    axes.forward = dsp::AxisEstimator::forward(hx, hy, hz, axes.up);
+  }
+  return axes;
 }
 
 std::size_t ProjectionStage::min_required() const {
-  // Keep both the re-projection context and the axis-estimation history
-  // behind the finalized frontier (axis_window_ > ctx_, but spell out both
-  // retention reasons).
+  // New raw samples start at projected_ >= frontier(); the axis history
+  // reaches axis_window_ behind the next hop's raw frontier.
   const std::size_t stable = vert_.end();
-  const std::size_t ctx_floor = stable > ctx_ ? stable - ctx_ : 0;
-  const std::size_t axis_floor = stable > axis_window_ ? stable - axis_window_ : 0;
-  return std::min(ctx_floor, axis_floor);
+  return stable > axis_window_ ? stable - axis_window_ : 0;
 }
 
 void ProjectionStage::trim_projected(std::size_t new_base) {
@@ -142,11 +223,24 @@ void ProjectionStage::trim_projected(std::size_t new_base) {
 // ---------------------------------------------------------------------------
 // SegmentationStage
 
+namespace {
+
+dsp::PeakOptions step_peak_options(const StepCounterConfig& cfg, double fs) {
+  dsp::PeakOptions opt;
+  opt.min_distance = std::max<std::size_t>(
+      1, static_cast<std::size_t>(cfg.min_step_interval_s * fs));
+  opt.min_prominence = cfg.min_cycle_prominence;
+  return opt;
+}
+
+}  // namespace
+
 SegmentationStage::SegmentationStage(const StepCounterConfig& cfg, double fs)
     : cfg_(cfg),
       fs_(fs),
       lookback_(seconds_to_samples(kSegmentationLookbackS, fs)),
-      margin_(seconds_to_samples(kSegmentationMarginS, fs)) {
+      margin_(seconds_to_samples(kSegmentationMarginS, fs)),
+      tracker_(step_peak_options(cfg, fs)) {
   expects(fs > 0.0, "SegmentationStage: fs > 0");
   // The finalization margin must cover the min-distance suppression window:
   // once a peak is final, no later (taller) peak may appear within
@@ -171,29 +265,12 @@ void SegmentationStage::advance(const Ring<double>& vertical, bool flush,
   const std::size_t accept_to =
       flush ? end : (end > margin_ ? end - margin_ : 0);
 
-  std::size_t scan_begin = std::max(vertical.base(), scan_floor_);
-  if (end > scan_begin && end - scan_begin >= 3) {
-    dsp::PeakOptions opt;
-    opt.min_distance = std::max<std::size_t>(
-        1, static_cast<std::size_t>(cfg_.min_step_interval_s * fs_));
-    opt.min_prominence = cfg_.min_cycle_prominence;
-    dsp::find_peaks_into(vertical.span(scan_begin, end), opt, scan_scratch_);
-    for (const std::size_t r : scan_scratch_) {
-      const std::size_t p = scan_begin + r;
-      // Peaks at or before the last finalized one were decided in an
-      // earlier scan over identical data (projection output is final);
-      // peaks inside the margin wait for more right context.
-      if (have_last_final_ && p <= last_final_peak_) continue;
-      if (p >= accept_to) break;
-      // ptrack-lint: allow(alloc) bounded by the ctor's reserve(256)
-      peaks_.push_back(p);
-      last_final_peak_ = p;
-      have_last_final_ = true;
-    }
+  const std::size_t origin = std::max(vertical.base(), scan_floor_);
+  if (end > origin) {
+    tracker_.advance(vertical.span(origin, end), origin, accept_to, peaks_);
   }
   // Advance the retention floor: future peaks land at >= accept_to, and
-  // their prominence walks and suppression interactions reach back at most
-  // `lookback_` samples.
+  // their prominence walks reach back at most `lookback_` samples.
   scan_floor_ = std::max(
       scan_floor_, accept_to > lookback_ ? accept_to - lookback_ : 0);
 
@@ -284,7 +361,11 @@ void EventAssembler::advance(std::span<const CycleCandidate> fresh,
     record.half_cycle_corr = analysis.half_cycle_corr;
     record.phase_ok = analysis.phase_ok;
     record.quality = 1.0 - raw.fraction_flagged(c.begin, c.end, 0xFF);
-    if (stats) stats->count_us += timer.lap_us();
+    if (stats) {
+      const double us = timer.lap_us();
+      stats->classify_us += us;
+      stats->count_us += us;
+    }
 
     if (decision.type == GaitType::Interference) {
       if (decision.withheld) {
@@ -480,8 +561,8 @@ std::size_t EventAssembler::min_required() const {
 
 StagePipeline::StagePipeline(const StepCounterConfig& counter_cfg,
                              const StrideConfig& stride_cfg, double fs,
-                             dsp::Workspace* ws, Precision precision)
-    : projection_(counter_cfg, fs, ws, precision),
+                             dsp::Workspace* ws)
+    : projection_(counter_cfg, fs, ws),
       segmentation_(counter_cfg, fs),
       assembler_(counter_cfg, stride_cfg, fs) {}
 
@@ -500,7 +581,9 @@ void StagePipeline::advance(const imu::SampleRing& ring, bool flush) {
   fresh_.clear();
   segmentation_.advance(projection_.vertical(), flush, fresh_);
   PTRACK_COUNT_N("ptrack.core.cycles", fresh_.size());
-  stats_.count_us += timer.lap_us();
+  const double segment_us = timer.lap_us();
+  stats_.segment_us += segment_us;
+  stats_.count_us += segment_us;
 
   assembler_.advance(fresh_, projection_.vertical(), projection_.anterior(),
                      ring, flush, &stats_);

@@ -12,29 +12,37 @@
 //                                      +----------> EventAssembler --> events
 //
 // Every stage reads its input through `std::span` views over rings
-// addressed by *absolute* sample indices (imu::SampleRing, Ring<double>),
-// so a hop touches only the new tail plus a bounded context region — no
-// per-hop window materialization, no O(window) recompute.
+// addressed by *absolute* sample indices (imu::SampleRing, Ring<double>)
+// and carries its state across hops, so a hop touches only the new samples
+// plus a bounded finalization margin — no per-hop window materialization,
+// no O(window) recompute.
 //
 // Batch-oracle contract: driving a fresh StagePipeline with one push of
 // the whole trace and a single advance(flush = true) degenerates every
-// stage to exactly the batch computation (one projection region starting
-// at 0, one peak scan, the same pairing / classification / stride / fill /
-// median sequence over complete data). The batch facade (PTrack::process)
-// runs this way, so batch results are bit-stable by construction and the
-// streaming mode's hop-wise results are validated against them
+// stage to exactly the batch computation (one projection of the whole
+// trace through one forward and one reverse filter pass, one peak scan,
+// the same pairing / classification / stride / fill / median sequence over
+// complete data). The batch facade (PTrack::process) runs this way, so
+// batch results are bit-stable by construction and the streaming mode's
+// hop-wise results are validated against them
 // (tests/test_streaming_equivalence.cpp).
 //
 // Incremental finalization: zero-phase filtering and prominence-based peak
 // detection are non-causal, so each stage keeps a margin between the data
 // frontier and what it finalizes:
-//   - ProjectionStage re-projects a trailing context region each hop and
-//     finalizes output only `kProjectionMarginS` behind the newest sample
-//     (covers the filtfilt reflect pad and IIR settling);
-//   - SegmentationStage re-scans from `kSegmentationLookbackS` before the
-//     last finalized peak and accepts new peaks only
-//     `kSegmentationMarginS` behind the projected frontier (covers the
-//     min-distance suppression window and prominence walks);
+//   - ProjectionStage projects each hop's new raw samples once, with that
+//     hop's pinned axes, and carries the low-pass cascade's forward state
+//     over them. Only the reverse pass needs right context: it runs from
+//     the odd-reflection pad past the raw frontier (filtered forward from a
+//     copy of the carried state) back to the finalized frontier, and
+//     finalizes output `kProjectionMarginS` behind the newest sample (the
+//     reverse pass's settling distance);
+//   - SegmentationStage carries a dsp::PeakTracker (raw-maxima scan
+//     position, open prominence walks, pending min-distance choice) and
+//     accepts new peaks only `kSegmentationMarginS` behind the projected
+//     frontier (covers the min-distance suppression window and prominence
+//     walks); walks reach back at most `kSegmentationLookbackS` before the
+//     accept frontier;
 //   - EventAssembler withholds cycles in an open stepping streak
 //     (<= streak-1) and events whose median-smoothing window is still
 //     open (<= smooth_window/2 future events).
@@ -52,47 +60,39 @@
 #include "core/segmentation.hpp"
 #include "core/stride_estimator.hpp"
 #include "core/types.hpp"
+#include "dsp/aligned.hpp"
 #include "dsp/attitude.hpp"
+#include "dsp/filtfilt.hpp"
+#include "dsp/peaks.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/workspace.hpp"
 #include "imu/sample_ring.hpp"
 
 namespace ptrack::core {
 
 /// Finalization margins (s). See the header comment for what each covers.
-inline constexpr double kProjectionCtxS = 3.0;
 inline constexpr double kProjectionMarginS = 2.5;
 /// Trailing raw-history window (s) the projection estimates its up /
-/// anterior axes over when advancing incrementally. Axes fit only to the
-/// short per-hop re-projection span wander with local gestures (and flip
-/// borderline offset tests); 20 s matches the legacy recompute window, so
-/// the incremental mode's axis stability is no worse than the sliding
-/// window it replaced. A hop pins the axes with dsp::AxisEstimator's
-/// closed form, O(window) dot and moment sums over the history with no
-/// filtering (DESIGN.md §14), so the window's length costs those sums, not
-/// a zero-phase filter. A batch flush spans the whole trace in one region,
-/// never pins, and takes the batch estimate exactly.
+/// anterior axes over when advancing incrementally. Axes fit only to one
+/// hop's samples would wander with local gestures (and flip borderline
+/// offset tests); 20 s matches the legacy recompute window, so the
+/// incremental mode's axis stability is no worse than the sliding window
+/// it replaced. A hop pins the axes with dsp::AxisEstimator's closed form,
+/// O(window) dot and moment sums over the history with no filtering
+/// (DESIGN.md §14). A batch flush projects the whole trace at once, never
+/// pins, and takes the batch estimate exactly.
 inline constexpr double kProjectionAxisWindowS = 20.0;
 inline constexpr double kSegmentationLookbackS = 5.0;
 inline constexpr double kSegmentationMarginS = 1.8;
 
-/// Numeric precision of the projection frontend. kDouble is the batch
-/// pipeline's arithmetic, bit-stable against the batch oracle. kFloat32
-/// routes the per-sample projection and filtering passes through the f32
-/// SIMD kernels (project_channels_f32: twice the lane width, half the
-/// memory traffic) and widens the finalized channels back to the double
-/// rings, so every stage downstream of projection is unchanged. Pinned
-/// hop axes come from the ring's double channels at either precision.
-/// Requires a SampleRing with enable_f32() and a workspace; incompatible
-/// with the attitude-filter path (which stays double-only). Divergence
-/// from kDouble is bounded by float rounding (tests/test_streaming_f32.cpp).
-enum class Precision { kDouble, kFloat32 };
-
 /// Cumulative per-stage wall-clock cost (µs); zeros when obs is disabled.
 struct StageStats {
-  double project_us = 0.0;  ///< projection + filtering
-  double count_us = 0.0;    ///< segmentation + gait classification
-  double stride_us = 0.0;   ///< stride estimation, fill and smoothing
-  std::size_t advances = 0; ///< pipeline hops driven
+  double project_us = 0.0;   ///< projection + filtering
+  double segment_us = 0.0;   ///< peak tracking + cycle pairing
+  double classify_us = 0.0;  ///< cycle analysis + gait classification
+  double count_us = 0.0;     ///< segment_us + classify_us
+  double stride_us = 0.0;    ///< stride estimation, fill and smoothing
+  std::size_t advances = 0;  ///< pipeline hops driven
 };
 
 /// Projects the raw stream into band-limited vertical/anterior channels,
@@ -101,8 +101,7 @@ struct StageStats {
 /// raw ring's index space.
 class ProjectionStage {
  public:
-  ProjectionStage(const StepCounterConfig& cfg, double fs, dsp::Workspace* ws,
-                  Precision precision = Precision::kDouble);
+  ProjectionStage(const StepCounterConfig& cfg, double fs, dsp::Workspace* ws);
 
   /// Advances the projected frontier over `ring`; flush finalizes up to the
   /// raw frontier. Appends only — previously finalized samples never change.
@@ -120,17 +119,24 @@ class ProjectionStage {
   [[nodiscard]] double fs() const { return fs_; }
 
  private:
-  /// Axes fit to the raw history [axis_begin, end) for projecting
-  /// [begin, end): both from axes_ or, in attitude mode, the anterior
-  /// direction against the up track's mean over [begin, end).
-  dsp::WindowAxes pin_axes(const imu::SampleRing& ring, std::size_t axis_begin,
-                           std::size_t begin, std::size_t end);
+  /// Projects raw [projected_, end) and appends it to `work`, the open
+  /// region's forward output, through the forward cascade.
+  void project_new(const imu::SampleRing& ring, std::size_t end,
+                   dsp::AlignedVector<double>& work);
+  /// Right pad + reverse pass over `work`; finalizes [vert_.end(), target)
+  /// and carries the forward output behind `target` to the next hop.
+  void finalize(std::size_t target, dsp::AlignedVector<double>& work);
+  /// Appends `fresh` to `tail`, keeping its last pad_ + 1 values.
+  void keep_tail(std::vector<double>& tail,
+                 std::span<const double> fresh) const;
+  /// The hop's axes, fit to the trailing raw history ending at `end`: the
+  /// closed-form estimate, or in attitude mode the up track's mean; the
+  /// windowed anterior mode fits its direction to the last window only.
+  dsp::WindowAxes pin_axes(const imu::SampleRing& ring, std::size_t end);
 
   StepCounterConfig cfg_;
   double fs_;
   dsp::Workspace* ws_;
-  Precision precision_;
-  std::size_t ctx_;          ///< re-projection context (samples)
   std::size_t margin_;       ///< finalization margin (samples)
   std::size_t axis_window_;  ///< axis-estimation history (samples)
 
@@ -139,11 +145,20 @@ class ProjectionStage {
   ProjectionSeam seam_{};
   dsp::AxisEstimator axes_;  ///< closed-form pinned axes over axis_window_
 
-  // Reused per-hop projection outputs: project_channels_into refills them
-  // in place, so re-projection stops allocating once the region capacity
-  // has warmed up.
-  ProjectedTrace proj_{};
-  ProjectedTraceF projf_{};
+  // Carried low-pass state. The first projection fixes the reflection pad
+  // (kProjectionFilterPad, clamped to its length - 1, as in the batch
+  // filter) and runs the left pad through the forward cascade.
+  dsp::ZeroPhaseLanes lowpass_;
+  dsp::simd::CascadeState forward_{};
+  std::size_t pad_ = 0;
+  std::size_t projected_ = 0;  ///< raw samples projected (absolute end)
+  bool started_ = false;
+  // The last pad_ + 1 unfiltered samples, for the right pad's reflection.
+  std::vector<double> tail_vert_;
+  std::vector<double> tail_ant_;
+  // Forward-filtered [frontier(), projected_) between hops,
+  // kIirLanes-interleaved (lane 0 vertical, 1 anterior).
+  dsp::AlignedVector<double> carry_;
 
   // Attitude-filter mode: per-sample up track, fed causally.
   Ring<Vec3> ups_;
@@ -168,14 +183,12 @@ class SegmentationStage {
  private:
   StepCounterConfig cfg_;
   double fs_;
-  std::size_t lookback_;  ///< re-scan context behind the last final peak
+  std::size_t lookback_;  ///< prominence-walk reach behind the accept frontier
   std::size_t margin_;    ///< peak finalization margin (samples)
 
+  dsp::PeakTracker tracker_;
   std::vector<std::size_t> peaks_;  ///< finalized peaks awaiting pairing
-  std::vector<std::size_t> scan_scratch_;  ///< per-hop peak-scan results
   std::size_t pair_index_ = 0;      ///< batch pairing loop index into peaks_
-  std::size_t last_final_peak_ = 0;
-  bool have_last_final_ = false;
   std::size_t scan_floor_ = 0;  ///< monotone lower bound of the scan region
 };
 
@@ -193,7 +206,7 @@ class EventAssembler {
 
   /// Consumes newly finalized candidates; `vertical`/`anterior` are the
   /// projection stage's rings, `raw` supplies per-sample quality flags.
-  /// Per-stage costs are accumulated into `stats` (count vs stride).
+  /// Per-stage costs are accumulated into `stats` (classify vs stride).
   void advance(std::span<const CycleCandidate> fresh,
                const Ring<double>& vertical, const Ring<double>& anterior,
                const imu::SampleRing& raw, bool flush, StageStats* stats);
@@ -259,8 +272,7 @@ class EventAssembler {
 class StagePipeline {
  public:
   StagePipeline(const StepCounterConfig& counter_cfg,
-                const StrideConfig& stride_cfg, double fs, dsp::Workspace* ws,
-                Precision precision = Precision::kDouble);
+                const StrideConfig& stride_cfg, double fs, dsp::Workspace* ws);
 
   void set_profile(const StrideProfile& profile);
 

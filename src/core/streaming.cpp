@@ -20,12 +20,6 @@ double validated_fs(double fs, const StreamingConfig& config) {
   expects(config.guard_s > 0.0, "StreamingTracker: guard_s > 0");
   expects(config.window_s > 2.0 * config.guard_s,
           "StreamingTracker: window_s > 2 * guard_s");
-  expects(config.precision == Precision::kDouble ||
-              config.mode == StreamingConfig::Mode::kIncremental,
-          "StreamingTracker: float32 precision requires incremental mode");
-  expects(config.precision == Precision::kDouble ||
-              !config.pipeline.counter.use_attitude_filter,
-          "StreamingTracker: float32 precision has no attitude-filter path");
   return fs;
 }
 
@@ -35,12 +29,10 @@ double validated_fs(double fs, const StreamingConfig& config) {
 StreamingTracker::StreamingTracker(double fs, StreamingConfig config)
     : fs_(validated_fs(fs, config)),
       config_(config),
-      pipe_(config.pipeline.counter, config.pipeline.stride, fs, &workspace_,
-            config.precision),
+      pipe_(config.pipeline.counter, config.pipeline.stride, fs, &workspace_),
       hop_samples_(std::max<std::size_t>(
           1, static_cast<std::size_t>(config.hop_s * fs))),
       pipeline_(config.pipeline) {
-  if (config_.precision == Precision::kFloat32) ring_.enable_f32();
   if (config_.mode == StreamingConfig::Mode::kIncremental &&
       config_.pipeline.quality.enabled) {
     quality_.emplace(fs_, config_.pipeline.quality);

@@ -62,14 +62,6 @@ struct StreamingConfig {
   /// incremental mode derives its finalization margins per stage; see
   /// core/stages.hpp.)
   double guard_s = 5.0;
-  /// Numeric precision of the per-hop projection frontend (incremental
-  /// mode only — the recompute baseline re-runs the double batch pipeline
-  /// by definition). kFloat32 is the opt-in fast path: the ring keeps f32
-  /// accel mirrors and the projection stage runs project_channels_f32;
-  /// everything downstream of projection stays double. Incompatible with
-  /// Mode::kRecompute and with use_attitude_filter (construction throws).
-  /// See core::Precision for the accuracy contract.
-  Precision precision = Precision::kDouble;
   /// Arm an alloc::NoAllocScope around every steady-state incremental hop
   /// (each non-flush advance after the first flush). With PTrack checks
   /// enabled, any heap allocation inside such a hop then throws

@@ -154,7 +154,9 @@ struct StrideConfig {
 struct StageTiming {
   double quality_us = 0.0;  ///< signal-quality detection + repair
   double project_us = 0.0;  ///< gravity/anterior projection + filtering
-  double count_us = 0.0;    ///< cycle segmentation + gait classification
+  double segment_us = 0.0;   ///< peak tracking + cycle pairing
+  double classify_us = 0.0;  ///< cycle analysis + gait classification
+  double count_us = 0.0;     ///< segment_us + classify_us
   double stride_us = 0.0;   ///< stride estimation, fill and smoothing
   double total_us = 0.0;    ///< whole process() call (>= sum of stages)
 };

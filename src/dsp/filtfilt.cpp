@@ -1,7 +1,6 @@
 #include "dsp/filtfilt.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -46,35 +45,14 @@ void filtfilt_inplace(const BiquadCascade& cascade, std::span<double> padded) {
   std::reverse(padded.begin(), padded.end());
 }
 
-// Odd reflection of one channel into lane `lane` of the interleaved
-// (sample-major, kIirLanes-stride) buffer — the same values pad_reflect_into
-// writes, just strided.
-template <typename T>
-void pad_reflect_lane(std::span<const T> xs, std::size_t pad, T* out,
-                      std::size_t lane) {
-  constexpr std::size_t kL = simd::kIirLanes;
-  const std::size_t n = xs.size();
-  PTRACK_CHECK_MSG(n >= 1 && pad < n,
-                   "pad_reflect_lane: pad shorter than the signal");
-  const T two = static_cast<T>(2);
-  for (std::size_t i = 0; i < pad; ++i) {
-    out[i * kL + lane] = two * xs.front() - xs[pad - i];
-  }
-  for (std::size_t i = 0; i < n; ++i) out[(pad + i) * kL + lane] = xs[i];
-  for (std::size_t i = 1; i <= pad; ++i) {
-    out[(pad + n - 1 + i) * kL + lane] = two * xs.back() - xs[n - 1 - i];
-  }
-}
-
 // Pads every channel into the interleaved scratch and runs the zero-phase
 // forward/backward cascade over all lanes at once. `pad` must already be
 // clamped; returns the padded interleaved buffer of (n + 2*pad) samples.
 // Backward pass = iterating the samples in reverse with fresh filter state,
 // which is bit-identical to filtfilt_inplace's reverse/process/reverse.
-template <typename T>
-std::span<T> multi_filter_core(const BiquadCascade& cascade,
-                               std::span<const std::span<const T>> xs,
-                               std::size_t pad, Workspace& ws) {
+std::span<double> multi_filter_core(const BiquadCascade& cascade,
+                                    std::span<const std::span<const double>> xs,
+                                    std::size_t pad, Workspace& ws) {
   constexpr std::size_t kL = simd::kIirLanes;
   const std::size_t k = xs.size();
   expects(k >= 1 && k <= kL, "filtfilt_multi: 1..kIirLanes channels");
@@ -84,82 +62,63 @@ std::span<T> multi_filter_core(const BiquadCascade& cascade,
   }
   const std::size_t m = n + 2 * pad;
 
-  T* buf = nullptr;
-  if constexpr (std::is_same_v<T, float>) {
-    buf = ws.float_scratch(0, m * kL).data();
-  } else {
-    buf = ws.real_scratch(0, m * kL).data();
-  }
+  double* buf = ws.real_scratch(0, m * kL).data();
   for (std::size_t c = 0; c < k; ++c) {
-    pad_reflect_lane(xs[c], pad, buf, c);
+    reflect_left(xs[c], pad, buf, c);
+    for (std::size_t i = 0; i < n; ++i) buf[(pad + i) * kL + c] = xs[c][i];
+    reflect_right(xs[c].subspan(n - 1 - pad), pad, buf + (pad + n) * kL, c);
   }
   // Unused lanes never influence the occupied ones, but stale scratch there
   // could drive the recurrence through denormals/Inf and stall every lane's
   // arithmetic — zero them.
   for (std::size_t c = k; c < kL; ++c) {
-    for (std::size_t i = 0; i < m; ++i) buf[i * kL + c] = static_cast<T>(0);
+    for (std::size_t i = 0; i < m; ++i) buf[i * kL + c] = 0.0;
   }
 
-  const auto& secs = cascade.sections();
-  std::array<BiquadCoeffs, 8> coeffs{};
-  expects(secs.size() <= coeffs.size(), "filtfilt_multi: section count");
-  for (std::size_t s = 0; s < secs.size(); ++s) coeffs[s] = secs[s].coeffs();
-  const std::span<const BiquadCoeffs> sections(coeffs.data(), secs.size());
-
-  if constexpr (std::is_same_v<T, float>) {
-    simd::cascade_multif(sections, buf, m, false);
-    simd::cascade_multif(sections, buf, m, true);
-  } else {
-    simd::cascade_multi(sections, buf, m, false);
-    simd::cascade_multi(sections, buf, m, true);
-  }
+  const ZeroPhaseLanes lanes(cascade);
+  simd::CascadeState state;
+  lanes.forward(buf, m, state);
+  lanes.reverse(buf, m);
   return {buf, m * kL};
 }
 
-template <typename T>
-void multi_into(const BiquadCascade& cascade,
-                std::span<const std::span<const T>> xs, std::size_t pad,
-                Workspace& ws, std::span<const std::span<T>> outs) {
-  constexpr std::size_t kL = simd::kIirLanes;
-  expects(outs.size() == xs.size(),
-          "filtfilt_multi_into: one output per channel");
-  if (xs.empty()) return;
-  const std::size_t n = xs[0].size();
-  for (const auto& out : outs) {
-    expects(out.size() == n, "filtfilt_multi_into: outputs sized to channel");
-  }
-  if (n == 0) return;
-  pad = std::min(pad, n - 1);
-  const auto buf = multi_filter_core<T>(cascade, xs, pad, ws);
-  for (std::size_t c = 0; c < outs.size(); ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      outs[c][i] = buf[(pad + i) * kL + c];
-    }
-  }
-}
-
-template <typename T>
-std::array<T, simd::kIirLanes> multi_mean(
-    const BiquadCascade& cascade, std::span<const std::span<const T>> xs,
-    std::size_t pad, Workspace& ws) {
-  constexpr std::size_t kL = simd::kIirLanes;
-  std::array<T, kL> means{};
-  if (xs.empty()) return means;
-  const std::size_t n = xs[0].size();
-  if (n == 0) return means;
-  pad = std::min(pad, n - 1);
-  const auto buf = multi_filter_core<T>(cascade, xs, pad, ws);
-  for (std::size_t c = 0; c < xs.size(); ++c) {
-    // Serial left-to-right sum: bit-identical to accumulating the
-    // single-channel filtfilt output.
-    T sum = static_cast<T>(0);
-    for (std::size_t i = 0; i < n; ++i) sum += buf[(pad + i) * kL + c];
-    means[c] = sum / static_cast<T>(n);
-  }
-  return means;
-}
-
 }  // namespace
+
+ZeroPhaseLanes::ZeroPhaseLanes(const BiquadCascade& cascade)
+    : nsec_(cascade.sections().size()) {
+  expects(nsec_ <= coeffs_.size(), "ZeroPhaseLanes: section count");
+  for (std::size_t s = 0; s < nsec_; ++s) {
+    coeffs_[s] = cascade.sections()[s].coeffs();
+  }
+}
+
+void ZeroPhaseLanes::forward(double* data, std::size_t n,
+                             simd::CascadeState& state) const {
+  simd::cascade_multi({coeffs_.data(), nsec_}, data, n, false, &state);
+}
+
+void ZeroPhaseLanes::reverse(double* data, std::size_t n) const {
+  simd::cascade_multi({coeffs_.data(), nsec_}, data, n, true);
+}
+
+void reflect_left(std::span<const double> xs, std::size_t pad, double* out,
+                  std::size_t lane) {
+  constexpr std::size_t kL = simd::kIirLanes;
+  PTRACK_CHECK_MSG(pad < xs.size(), "reflect_left: pad shorter than the signal");
+  for (std::size_t i = 0; i < pad; ++i) {
+    out[i * kL + lane] = 2.0 * xs.front() - xs[pad - i];
+  }
+}
+
+void reflect_right(std::span<const double> tail, std::size_t pad, double* out,
+                   std::size_t lane) {
+  constexpr std::size_t kL = simd::kIirLanes;
+  PTRACK_CHECK_MSG(tail.size() == pad + 1,
+                   "reflect_right: tail holds the last pad + 1 samples");
+  for (std::size_t i = 1; i <= pad; ++i) {
+    out[(i - 1) * kL + lane] = 2.0 * tail.back() - tail[pad - i];
+  }
+}
 
 std::vector<double> filtfilt(const BiquadCascade& cascade,
                              std::span<const double> xs, std::size_t pad) {
@@ -206,26 +165,42 @@ void filtfilt_multi_into(const BiquadCascade& cascade,
                          std::span<const std::span<const double>> xs,
                          std::size_t pad, Workspace& ws,
                          std::span<const std::span<double>> outs) {
-  multi_into<double>(cascade, xs, pad, ws, outs);
-}
-
-void filtfilt_multif_into(const BiquadCascade& cascade,
-                          std::span<const std::span<const float>> xs,
-                          std::size_t pad, Workspace& ws,
-                          std::span<const std::span<float>> outs) {
-  multi_into<float>(cascade, xs, pad, ws, outs);
+  constexpr std::size_t kL = simd::kIirLanes;
+  expects(outs.size() == xs.size(),
+          "filtfilt_multi_into: one output per channel");
+  if (xs.empty()) return;
+  const std::size_t n = xs[0].size();
+  for (const auto& out : outs) {
+    expects(out.size() == n, "filtfilt_multi_into: outputs sized to channel");
+  }
+  if (n == 0) return;
+  pad = std::min(pad, n - 1);
+  const auto buf = multi_filter_core(cascade, xs, pad, ws);
+  for (std::size_t c = 0; c < outs.size(); ++c) {
+    for (std::size_t i = 0; i < n; ++i) {
+      outs[c][i] = buf[(pad + i) * kL + c];
+    }
+  }
 }
 
 std::array<double, simd::kIirLanes> filtfilt_multi_mean(
     const BiquadCascade& cascade, std::span<const std::span<const double>> xs,
     std::size_t pad, Workspace& ws) {
-  return multi_mean<double>(cascade, xs, pad, ws);
-}
-
-std::array<float, simd::kIirLanes> filtfilt_multif_mean(
-    const BiquadCascade& cascade, std::span<const std::span<const float>> xs,
-    std::size_t pad, Workspace& ws) {
-  return multi_mean<float>(cascade, xs, pad, ws);
+  constexpr std::size_t kL = simd::kIirLanes;
+  std::array<double, kL> means{};
+  if (xs.empty()) return means;
+  const std::size_t n = xs[0].size();
+  if (n == 0) return means;
+  pad = std::min(pad, n - 1);
+  const auto buf = multi_filter_core(cascade, xs, pad, ws);
+  for (std::size_t c = 0; c < xs.size(); ++c) {
+    // Serial left-to-right sum: bit-identical to accumulating the
+    // single-channel filtfilt output.
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) sum += buf[(pad + i) * kL + c];
+    means[c] = sum / static_cast<double>(n);
+  }
+  return means;
 }
 
 std::vector<double> zero_phase_lowpass(std::span<const double> xs,

@@ -78,4 +78,62 @@ void find_extrema_into(std::span<const double> xs, const PeakOptions& opt,
 /// counters that post-filter peaks against locally adaptive thresholds.
 double peak_prominence(std::span<const double> xs, std::size_t peak);
 
+/// find_peaks over a signal that grows at its right end, carrying its
+/// decisions across calls so each call examines only what is new: raw
+/// maxima past the last scan position, the prominence walks still open and
+/// the min-distance choice among the peaks not yet finalized.
+///
+/// Indices are absolute. Each advance() sees the signal over
+/// [origin, origin + xs.size()); the origin may move right between calls
+/// (the caller's retention floor) but the right end never shrinks.
+/// Prominence walks stop at the origin on the left, as find_peaks stops at
+/// its span's start. A maximum's prominence is final once it reaches
+/// min_prominence or its right walk meets a taller sample; until then it
+/// counts as not prominent. advance() finalizes the peaks left of
+/// `accept_to` that win the min-distance choice among the last finalized
+/// peak and the prominent pending ones; pending maxima at or before the
+/// last finalized peak are dropped, so finalized output never changes.
+///
+/// One advance over a whole signal with accept_to = its end returns
+/// exactly find_peaks(xs, opt), ties included: the pending list is the
+/// same prominent maxima in the same order, and the min-distance choice is
+/// the same sort over it.
+class PeakTracker {
+ public:
+  explicit PeakTracker(const PeakOptions& opt);
+
+  /// Scans the signal's new tail and appends the newly finalized peaks
+  /// (ascending, each exactly once) to `out`.
+  void advance(std::span<const double> xs, std::size_t origin,
+               std::size_t accept_to, std::vector<std::size_t>& out);
+
+ private:
+  struct Pending {
+    std::size_t index = 0;
+    double height = 0.0;
+    double left_min = 0.0;   ///< left walk's minimum (final at discovery)
+    double right_min = 0.0;  ///< right walk's minimum so far
+    std::size_t walk = 0;    ///< next sample of the open right walk
+    bool prominent = false;  ///< prominence reached; walk closed
+    bool closed = false;     ///< right walk met a taller sample
+  };
+
+  /// Extends p's right walk to the signal end; settles `prominent`.
+  void walk_right(Pending& p, std::span<const double> xs,
+                  std::size_t origin) const;
+
+  PeakOptions opt_;
+  std::size_t next_ = 0;  ///< where the raw-maxima scan resumes
+  bool started_ = false;
+  std::vector<Pending> pending_;  ///< undecided or prominent, by index
+  bool have_last_ = false;
+  std::size_t last_index_ = 0;  ///< last finalized peak
+  double last_height_ = 0.0;
+  // Min-distance choice scratch (kept across calls for its capacity).
+  std::vector<std::size_t> contest_;
+  std::vector<double> contest_heights_;
+  std::vector<std::size_t> by_height_;
+  std::vector<unsigned char> keep_;
+};
+
 }  // namespace ptrack::dsp

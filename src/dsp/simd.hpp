@@ -12,9 +12,9 @@
 // the vector lanes produce *identical* results, bit for bit
 // (tests/test_dsp_simd.cpp asserts it). Elementwise maps replicate the
 // exact expression-tree order of the code they replaced; reductions follow
-// one canonical lane-block order — kDoubleBlock (kFloatBlock) independent
-// partial accumulators, one per lane position, combined pairwise as
-// ((p0+p1)+(p2+p3)) [+ ((p4+p5)+(p6+p7))], then the tail added serially —
+// one canonical lane-block order — kDoubleBlock independent partial
+// accumulators, one per lane position, combined pairwise as
+// ((p0+p1)+(p2+p3)), then the tail added serially —
 // which is exactly what a vector accumulator plus that horizontal combine
 // computes. No kernel uses FMA (every TU builds with -ffp-contract=off):
 // contraction would round differently per ISA and break the contract.
@@ -51,23 +51,19 @@ void force_isa(Isa isa);
 /// Human-readable ISA name ("scalar", "avx2", "neon").
 [[nodiscard]] const char* isa_name(Isa isa);
 
-/// Canonical reduction block widths (partial accumulators per reduction).
+/// Canonical reduction block width (partial accumulators per reduction).
 inline constexpr std::size_t kDoubleBlock = 4;
-inline constexpr std::size_t kFloatBlock = 8;
 
 // --- Reductions (canonical block order) ------------------------------------
 
 /// Sum of xs.
 [[nodiscard]] double sum(std::span<const double> xs);
-[[nodiscard]] float sumf(std::span<const float> xs);
 
 /// Inner product of a and b (a.size() == b.size()).
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-[[nodiscard]] float dotf(std::span<const float> a, std::span<const float> b);
 
 /// Sum of squared deviations from `mean`.
 [[nodiscard]] double sumsq_dev(std::span<const double> xs, double mean);
-[[nodiscard]] float sumsq_devf(std::span<const float> xs, float mean);
 
 /// First and second moments of d_i = f_i - shift over a projection-axis
 /// history window, f_i = (x[i], y[i], z[i]).
@@ -95,9 +91,6 @@ struct WindowMoments {
 void axis_project(std::span<const double> x, std::span<const double> y,
                   std::span<const double> z, const Vec3& u, double bias,
                   std::span<double> out);
-void axis_projectf(std::span<const float> x, std::span<const float> y,
-                   std::span<const float> z, const Vec3& u, float bias,
-                   std::span<float> out);
 
 /// out[i] = (f - up * f.dot(up)).dot(dir) for f = (x[i], y[i], z[i]) — the
 /// anterior projection of the gravity-removed residual, in the exact
@@ -105,9 +98,6 @@ void axis_projectf(std::span<const float> x, std::span<const float> y,
 void residual_project(std::span<const double> x, std::span<const double> y,
                       std::span<const double> z, const Vec3& up,
                       const Vec3& dir, std::span<double> out);
-void residual_projectf(std::span<const float> x, std::span<const float> y,
-                       std::span<const float> z, const Vec3& up,
-                       const Vec3& dir, std::span<float> out);
 
 /// out[i] = -xs[i].
 void negate(std::span<const double> xs, std::span<double> out);
@@ -119,10 +109,6 @@ void sub_scalar(std::span<const double> xs, double m, std::span<double> out);
 /// prefix-sum moving average.
 void diff_div(std::span<const double> hi, std::span<const double> lo,
               double div, std::span<double> out);
-
-/// Precision casts between the double rings and the float32 pipeline view.
-void widen(std::span<const float> xs, std::span<double> out);
-void narrow(std::span<const double> xs, std::span<float> out);
 
 // --- Scans ------------------------------------------------------------------
 
@@ -150,17 +136,31 @@ void normalize_lags(std::span<const double> raw, std::size_t n, double den,
 /// Channel lanes per sample in the interleaved multi-channel filter layout.
 inline constexpr std::size_t kIirLanes = 4;
 
+/// Most cascade sections the lane-parallel kernels support (order 16; the
+/// tree uses order <= 4).
+inline constexpr std::size_t kMaxIirSections = 8;
+
+/// Per-section, per-lane state (Biquad's s1/s2) of a lane-parallel cascade,
+/// carried from one cascade_multi call to the next. The state is stored
+/// exactly, so a run split into chunks that carry it is bit-identical to
+/// one run over the whole signal.
+struct CascadeState {
+  double s1[kMaxIirSections][kIirLanes] = {};
+  double s2[kMaxIirSections][kIirLanes] = {};
+};
+
 /// Runs a biquad cascade over `n` samples of kIirLanes interleaved channels
-/// (data[i * kIirLanes + c]; state starts at zero), forward or backward in
-/// sample order. Per lane this is bit-identical to BiquadCascade::step over
-/// that channel alone: IIR recurrences are serial in time, so the
-/// parallelism comes from the lanes, not the samples — which is why the
-/// filtfilt hot path batches channels (filtfilt_multi_*) instead of
-/// vectorizing one. Unused lanes may hold arbitrary values; they never
-/// influence the others. `sections.size() <= 8`.
+/// (data[i * kIirLanes + c]), forward or backward in sample order. The run
+/// starts from `*state` and stores its final state back there; a null
+/// `state` starts from zero and discards it. Per lane this is bit-identical
+/// to BiquadCascade::step over that channel alone: IIR recurrences are
+/// serial in time, so the parallelism comes from the lanes, not the
+/// samples — which is why the filtfilt hot path batches channels
+/// (filtfilt_multi_*) instead of vectorizing one. Unused lanes may hold
+/// arbitrary values; they never influence the others.
+/// `sections.size() <= kMaxIirSections`.
 void cascade_multi(std::span<const BiquadCoeffs> sections, double* data,
-                   std::size_t n, bool backward);
-void cascade_multif(std::span<const BiquadCoeffs> sections, float* data,
-                    std::size_t n, bool backward);
+                   std::size_t n, bool backward,
+                   CascadeState* state = nullptr);
 
 }  // namespace ptrack::dsp::simd

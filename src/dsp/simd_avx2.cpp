@@ -26,16 +26,6 @@ inline double hsum(__m256d v) {
   return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
 }
 
-/// ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)) — the canonical 8-lane combine.
-inline float hsumf(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  const __m128 pair = _mm_hadd_ps(lo, hi);    // (p0+p1, p2+p3, p4+p5, p6+p7)
-  const __m128 quad = _mm_hadd_ps(pair, pair);
-  return _mm_cvtss_f32(quad) +
-         _mm_cvtss_f32(_mm_shuffle_ps(quad, quad, 1));
-}
-
 inline double hmin(__m256d v) {
   const __m128d m =
       _mm_min_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
@@ -53,17 +43,6 @@ double sum_avx2(const double* xs, std::size_t n) {
   return total;
 }
 
-float sumf_avx2(const float* xs, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_add_ps(acc, _mm256_loadu_ps(xs + i));
-  }
-  float total = hsumf(acc);
-  for (; i < n; ++i) total += xs[i];
-  return total;
-}
-
 double dot_avx2(const double* a, const double* b, std::size_t n) {
   __m256d acc = _mm256_setzero_pd();
   std::size_t i = 0;
@@ -72,18 +51,6 @@ double dot_avx2(const double* a, const double* b, std::size_t n) {
         acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
   double total = hsum(acc);
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
-float dotf_avx2(const float* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_add_ps(
-        acc, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  float total = hsumf(acc);
   for (; i < n; ++i) total += a[i] * b[i];
   return total;
 }
@@ -99,22 +66,6 @@ double sumsq_dev_avx2(const double* xs, std::size_t n, double mean) {
   double total = hsum(acc);
   for (; i < n; ++i) {
     const double d = xs[i] - mean;
-    total += d * d;
-  }
-  return total;
-}
-
-float sumsq_devf_avx2(const float* xs, std::size_t n, float mean) {
-  const __m256 mv = _mm256_set1_ps(mean);
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(xs + i), mv);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
-  }
-  float total = hsumf(acc);
-  for (; i < n; ++i) {
-    const float d = xs[i] - mean;
     total += d * d;
   }
   return total;
@@ -169,28 +120,6 @@ void axis_project_avx2(const double* x, const double* y, const double* z,
   }
 }
 
-void axis_projectf_avx2(const float* x, const float* y, const float* z,
-                        std::size_t n, Vec3 u, float bias, float* out) {
-  const float ux = static_cast<float>(u.x);
-  const float uy = static_cast<float>(u.y);
-  const float uz = static_cast<float>(u.z);
-  const __m256 uxv = _mm256_set1_ps(ux);
-  const __m256 uyv = _mm256_set1_ps(uy);
-  const __m256 uzv = _mm256_set1_ps(uz);
-  const __m256 bv = _mm256_set1_ps(bias);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(x + i), uxv),
-                      _mm256_mul_ps(_mm256_loadu_ps(y + i), uyv)),
-        _mm256_mul_ps(_mm256_loadu_ps(z + i), uzv));
-    _mm256_storeu_ps(out + i, _mm256_sub_ps(d, bv));
-  }
-  for (; i < n; ++i) {
-    out[i] = ((x[i] * ux + y[i] * uy) + z[i] * uz) - bias;
-  }
-}
-
 void residual_project_avx2(const double* x, const double* y, const double* z,
                            std::size_t n, Vec3 up, Vec3 dir, double* out) {
   const __m256d uxv = _mm256_set1_pd(up.x);
@@ -221,45 +150,6 @@ void residual_project_avx2(const double* x, const double* y, const double* z,
     const double ry = y[i] - up.y * t;
     const double rz = z[i] - up.z * t;
     out[i] = (rx * dir.x + ry * dir.y) + rz * dir.z;
-  }
-}
-
-void residual_projectf_avx2(const float* x, const float* y, const float* z,
-                            std::size_t n, Vec3 up, Vec3 dir, float* out) {
-  const float ux = static_cast<float>(up.x);
-  const float uy = static_cast<float>(up.y);
-  const float uz = static_cast<float>(up.z);
-  const float dx = static_cast<float>(dir.x);
-  const float dy = static_cast<float>(dir.y);
-  const float dz = static_cast<float>(dir.z);
-  const __m256 uxv = _mm256_set1_ps(ux);
-  const __m256 uyv = _mm256_set1_ps(uy);
-  const __m256 uzv = _mm256_set1_ps(uz);
-  const __m256 dxv = _mm256_set1_ps(dx);
-  const __m256 dyv = _mm256_set1_ps(dy);
-  const __m256 dzv = _mm256_set1_ps(dz);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    const __m256 yv = _mm256_loadu_ps(y + i);
-    const __m256 zv = _mm256_loadu_ps(z + i);
-    const __m256 t = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(xv, uxv), _mm256_mul_ps(yv, uyv)),
-        _mm256_mul_ps(zv, uzv));
-    const __m256 rx = _mm256_sub_ps(xv, _mm256_mul_ps(uxv, t));
-    const __m256 ry = _mm256_sub_ps(yv, _mm256_mul_ps(uyv, t));
-    const __m256 rz = _mm256_sub_ps(zv, _mm256_mul_ps(uzv, t));
-    const __m256 a = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(rx, dxv), _mm256_mul_ps(ry, dyv)),
-        _mm256_mul_ps(rz, dzv));
-    _mm256_storeu_ps(out + i, a);
-  }
-  for (; i < n; ++i) {
-    const float t = (x[i] * ux + y[i] * uy) + z[i] * uz;
-    const float rx = x[i] - ux * t;
-    const float ry = y[i] - uy * t;
-    const float rz = z[i] - uz * t;
-    out[i] = (rx * dx + ry * dy) + rz * dz;
   }
 }
 
@@ -295,22 +185,6 @@ void diff_div_avx2(const double* hi, const double* lo, std::size_t n,
             dv));
   }
   for (; i < n; ++i) out[i] = (hi[i] - lo[i]) / div;
-}
-
-void widen_avx2(const float* xs, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_cvtps_pd(_mm_loadu_ps(xs + i)));
-  }
-  for (; i < n; ++i) out[i] = static_cast<double>(xs[i]);
-}
-
-void narrow_avx2(const double* xs, std::size_t n, float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_loadu_pd(xs + i)));
-  }
-  for (; i < n; ++i) out[i] = static_cast<float>(xs[i]);
 }
 
 double min_until_greater_fwd_avx2(const double* xs, std::size_t n, double h) {
@@ -381,7 +255,7 @@ void normalize_lags_avx2(const double* raw, std::size_t n, std::size_t nlags,
 // between winning and losing against the auto-vectorized scalar loop.
 template <std::size_t NSec>
 void cascade_multi_avx2_n(const BiquadCoeffs* sections, double* data,
-                          std::size_t n, bool backward) {
+                          std::size_t n, bool backward, CascadeState* state) {
   struct SecV {
     __m256d b0, b1, b2, a1, a2;
   };
@@ -392,8 +266,8 @@ void cascade_multi_avx2_n(const BiquadCoeffs* sections, double* data,
     cs[s] = {_mm256_set1_pd(sections[s].b0), _mm256_set1_pd(sections[s].b1),
              _mm256_set1_pd(sections[s].b2), _mm256_set1_pd(sections[s].a1),
              _mm256_set1_pd(sections[s].a2)};
-    s1[s] = _mm256_setzero_pd();
-    s2[s] = _mm256_setzero_pd();
+    s1[s] = state ? _mm256_loadu_pd(state->s1[s]) : _mm256_setzero_pd();
+    s2[s] = state ? _mm256_loadu_pd(state->s2[s]) : _mm256_setzero_pd();
   }
   for (std::size_t k = 0; k < n; ++k) {
     double* p = data + (backward ? n - 1 - k : k) * kIirLanes;
@@ -409,53 +283,27 @@ void cascade_multi_avx2_n(const BiquadCoeffs* sections, double* data,
     }
     _mm256_storeu_pd(p, x);
   }
+  if (state) {
+    for (std::size_t s = 0; s < NSec; ++s) {
+      _mm256_storeu_pd(state->s1[s], s1[s]);
+      _mm256_storeu_pd(state->s2[s], s2[s]);
+    }
+  }
 }
 
 void cascade_multi_avx2(const BiquadCoeffs* sections, std::size_t nsec,
-                        double* data, std::size_t n, bool backward) {
+                        double* data, std::size_t n, bool backward,
+                        CascadeState* state) {
   switch (nsec) {
     case 0: return;
-    case 1: return cascade_multi_avx2_n<1>(sections, data, n, backward);
-    case 2: return cascade_multi_avx2_n<2>(sections, data, n, backward);
-    case 3: return cascade_multi_avx2_n<3>(sections, data, n, backward);
-    case 4: return cascade_multi_avx2_n<4>(sections, data, n, backward);
+    case 1: return cascade_multi_avx2_n<1>(sections, data, n, backward, state);
+    case 2: return cascade_multi_avx2_n<2>(sections, data, n, backward, state);
+    case 3: return cascade_multi_avx2_n<3>(sections, data, n, backward, state);
+    case 4: return cascade_multi_avx2_n<4>(sections, data, n, backward, state);
     default: break;
   }
   // Rare deep cascades: fall back to the canonical loop (bit-identical).
-  cascade_multi_canonical<double>(sections, nsec, data, n, backward);
-}
-
-template <std::size_t NSec>
-void cascade_multif_avx2_n(const BiquadCoeffs* sections, float* data,
-                           std::size_t n, bool backward) {
-  struct SecV {
-    __m128 b0, b1, b2, a1, a2;
-  };
-  SecV cs[NSec];
-  __m128 s1[NSec];
-  __m128 s2[NSec];
-  for (std::size_t s = 0; s < NSec; ++s) {
-    cs[s] = {_mm_set1_ps(static_cast<float>(sections[s].b0)),
-             _mm_set1_ps(static_cast<float>(sections[s].b1)),
-             _mm_set1_ps(static_cast<float>(sections[s].b2)),
-             _mm_set1_ps(static_cast<float>(sections[s].a1)),
-             _mm_set1_ps(static_cast<float>(sections[s].a2))};
-    s1[s] = _mm_setzero_ps();
-    s2[s] = _mm_setzero_ps();
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    float* p = data + (backward ? n - 1 - k : k) * kIirLanes;
-    __m128 x = _mm_loadu_ps(p);
-    for (std::size_t s = 0; s < NSec; ++s) {
-      const __m128 y = _mm_add_ps(_mm_mul_ps(cs[s].b0, x), s1[s]);
-      s1[s] = _mm_add_ps(
-          _mm_sub_ps(_mm_mul_ps(cs[s].b1, x), _mm_mul_ps(cs[s].a1, y)),
-          s2[s]);
-      s2[s] = _mm_sub_ps(_mm_mul_ps(cs[s].b2, x), _mm_mul_ps(cs[s].a2, y));
-      x = y;
-    }
-    _mm_storeu_ps(p, x);
-  }
+  cascade_multi_canonical(sections, nsec, data, n, backward, state);
 }
 
 /// 32 byte counters (one per lane), subtracting the all-ones compare mask,
@@ -484,45 +332,24 @@ std::size_t count_byte_avx2(const char* bytes, std::size_t n, char byte) {
   return total + count_byte_canonical(bytes + i, n - i, byte);
 }
 
-void cascade_multif_avx2(const BiquadCoeffs* sections, std::size_t nsec,
-                         float* data, std::size_t n, bool backward) {
-  switch (nsec) {
-    case 0: return;
-    case 1: return cascade_multif_avx2_n<1>(sections, data, n, backward);
-    case 2: return cascade_multif_avx2_n<2>(sections, data, n, backward);
-    case 3: return cascade_multif_avx2_n<3>(sections, data, n, backward);
-    case 4: return cascade_multif_avx2_n<4>(sections, data, n, backward);
-    default: break;
-  }
-  cascade_multi_canonical<float>(sections, nsec, data, n, backward);
-}
-
 }  // namespace
 
 const KernelTable& avx2_table() {
   static const KernelTable t = {
       &sum_avx2,
-      &sumf_avx2,
       &dot_avx2,
-      &dotf_avx2,
       &sumsq_dev_avx2,
-      &sumsq_devf_avx2,
       &window_moments_avx2,
       &axis_project_avx2,
-      &axis_projectf_avx2,
       &residual_project_avx2,
-      &residual_projectf_avx2,
       &negate_avx2,
       &sub_scalar_avx2,
       &diff_div_avx2,
-      &widen_avx2,
-      &narrow_avx2,
       &min_until_greater_fwd_avx2,
       &min_until_greater_bwd_avx2,
       &normalize_lags_avx2,
       &count_byte_avx2,
       &cascade_multi_avx2,
-      &cascade_multif_avx2,
   };
   return t;
 }

@@ -2,8 +2,8 @@
 // the canonical scalar kernels every ISA must reproduce bit for bit.
 //
 // The scalar kernels below are the *definition* of each kernel's result:
-// reductions keep kDoubleBlock/kFloatBlock independent partial accumulators
-// (one per vector lane position) combined pairwise, elementwise maps fix
+// reductions keep kDoubleBlock independent partial accumulators (one per
+// vector lane position) combined pairwise, elementwise maps fix
 // one expression-tree order per element. A vector implementation is correct
 // exactly when it computes the same thing — same lanes, same combine, no
 // FMA — so the scalar fallback (and the PTRACK_SIMD=OFF build) is not an
@@ -22,43 +22,28 @@
 
 namespace ptrack::dsp::simd::detail {
 
-/// Upper bound on cascade sections the lane-parallel IIR kernels support
-/// (order 16 — the tree uses order <= 4).
-inline constexpr std::size_t kMaxSections = 8;
-
 /// One entry per kernel; each ISA provides a table of these.
 struct KernelTable {
   double (*sum_d)(const double*, std::size_t);
-  float (*sum_f)(const float*, std::size_t);
   double (*dot_d)(const double*, const double*, std::size_t);
-  float (*dot_f)(const float*, const float*, std::size_t);
   double (*sumsq_dev_d)(const double*, std::size_t, double);
-  float (*sumsq_dev_f)(const float*, std::size_t, float);
   WindowMoments (*window_moments_d)(const double*, const double*,
                                     const double*, std::size_t, Vec3);
   void (*axis_project_d)(const double*, const double*, const double*,
                          std::size_t, Vec3, double, double*);
-  void (*axis_project_f)(const float*, const float*, const float*,
-                         std::size_t, Vec3, float, float*);
   void (*residual_project_d)(const double*, const double*, const double*,
                              std::size_t, Vec3, Vec3, double*);
-  void (*residual_project_f)(const float*, const float*, const float*,
-                             std::size_t, Vec3, Vec3, float*);
   void (*negate_d)(const double*, std::size_t, double*);
   void (*sub_scalar_d)(const double*, std::size_t, double, double*);
   void (*diff_div_d)(const double*, const double*, std::size_t, double,
                      double*);
-  void (*widen_f)(const float*, std::size_t, double*);
-  void (*narrow_d)(const double*, std::size_t, float*);
   double (*min_until_greater_fwd_d)(const double*, std::size_t, double);
   double (*min_until_greater_bwd_d)(const double*, std::size_t, double);
   void (*normalize_lags_d)(const double*, std::size_t, std::size_t, double,
                            double*);
   std::size_t (*count_byte)(const char*, std::size_t, char);
   void (*cascade_multi_d)(const BiquadCoeffs*, std::size_t, double*,
-                          std::size_t, bool);
-  void (*cascade_multi_f)(const BiquadCoeffs*, std::size_t, float*,
-                          std::size_t, bool);
+                          std::size_t, bool, CascadeState*);
 };
 
 /// The canonical scalar table (always compiled).
@@ -73,63 +58,50 @@ const KernelTable& neon_table();
 
 // --- Canonical scalar kernels ----------------------------------------------
 
-template <typename T>
-inline constexpr std::size_t kBlock =
-    sizeof(T) == sizeof(double) ? kDoubleBlock : kFloatBlock;
-
-/// Pairwise combine of the partial accumulators — the fixed order a vector
-/// horizontal sum reproduces.
-template <typename T, std::size_t B = kBlock<T>>
-T combine_block(const T* acc) {
-  if constexpr (B == 4) {
-    return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  } else {
-    static_assert(B == 8);
-    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-           ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-  }
+/// Pairwise combine of the kDoubleBlock partial accumulators — the fixed
+/// order a vector horizontal sum reproduces.
+inline double combine_block(const double* acc) {
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-template <typename T>
-T sum_canonical(const T* xs, std::size_t n) {
-  constexpr std::size_t B = kBlock<T>;
-  T acc[B] = {};
+inline double sum_canonical(const double* xs, std::size_t n) {
+  constexpr std::size_t B = kDoubleBlock;
+  double acc[B] = {};
   std::size_t i = 0;
   for (; i + B <= n; i += B) {
     for (std::size_t j = 0; j < B; ++j) acc[j] += xs[i + j];
   }
-  T total = combine_block<T>(acc);
+  double total = combine_block(acc);
   for (; i < n; ++i) total += xs[i];
   return total;
 }
 
-template <typename T>
-T dot_canonical(const T* a, const T* b, std::size_t n) {
-  constexpr std::size_t B = kBlock<T>;
-  T acc[B] = {};
+inline double dot_canonical(const double* a, const double* b, std::size_t n) {
+  constexpr std::size_t B = kDoubleBlock;
+  double acc[B] = {};
   std::size_t i = 0;
   for (; i + B <= n; i += B) {
     for (std::size_t j = 0; j < B; ++j) acc[j] += a[i + j] * b[i + j];
   }
-  T total = combine_block<T>(acc);
+  double total = combine_block(acc);
   for (; i < n; ++i) total += a[i] * b[i];
   return total;
 }
 
-template <typename T>
-T sumsq_dev_canonical(const T* xs, std::size_t n, T mean) {
-  constexpr std::size_t B = kBlock<T>;
-  T acc[B] = {};
+inline double sumsq_dev_canonical(const double* xs, std::size_t n,
+                                  double mean) {
+  constexpr std::size_t B = kDoubleBlock;
+  double acc[B] = {};
   std::size_t i = 0;
   for (; i + B <= n; i += B) {
     for (std::size_t j = 0; j < B; ++j) {
-      const T d = xs[i + j] - mean;
+      const double d = xs[i + j] - mean;
       acc[j] += d * d;
     }
   }
-  T total = combine_block<T>(acc);
+  double total = combine_block(acc);
   for (; i < n; ++i) {
-    const T d = xs[i] - mean;
+    const double d = xs[i] - mean;
     total += d * d;
   }
   return total;
@@ -197,37 +169,28 @@ inline WindowMoments window_moments_canonical(const double* x, const double* y,
   }
   double total[kWindowSums] = {};
   for (std::size_t k = 0; k < kWindowSums; ++k) {
-    total[k] = combine_block<double>(acc[k]);
+    total[k] = combine_block(acc[k]);
   }
   return window_moments_tail(x, y, z, i, n, shift, total);
 }
 
-template <typename T>
-void axis_project_canonical(const T* x, const T* y, const T* z, std::size_t n,
-                            Vec3 u, T bias, T* out) {
-  const T ux = static_cast<T>(u.x);
-  const T uy = static_cast<T>(u.y);
-  const T uz = static_cast<T>(u.z);
+inline void axis_project_canonical(const double* x, const double* y,
+                                   const double* z, std::size_t n, Vec3 u,
+                                   double bias, double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = ((x[i] * ux + y[i] * uy) + z[i] * uz) - bias;
+    out[i] = ((x[i] * u.x + y[i] * u.y) + z[i] * u.z) - bias;
   }
 }
 
-template <typename T>
-void residual_project_canonical(const T* x, const T* y, const T* z,
-                                std::size_t n, Vec3 up, Vec3 dir, T* out) {
-  const T ux = static_cast<T>(up.x);
-  const T uy = static_cast<T>(up.y);
-  const T uz = static_cast<T>(up.z);
-  const T dx = static_cast<T>(dir.x);
-  const T dy = static_cast<T>(dir.y);
-  const T dz = static_cast<T>(dir.z);
+inline void residual_project_canonical(const double* x, const double* y,
+                                       const double* z, std::size_t n,
+                                       Vec3 up, Vec3 dir, double* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const T t = (x[i] * ux + y[i] * uy) + z[i] * uz;
-    const T rx = x[i] - ux * t;
-    const T ry = y[i] - uy * t;
-    const T rz = z[i] - uz * t;
-    out[i] = (rx * dx + ry * dy) + rz * dz;
+    const double t = (x[i] * up.x + y[i] * up.y) + z[i] * up.z;
+    const double rx = x[i] - up.x * t;
+    const double ry = y[i] - up.y * t;
+    const double rz = z[i] - up.z * t;
+    out[i] = (rx * dir.x + ry * dir.y) + rz * dir.z;
   }
 }
 
@@ -243,14 +206,6 @@ inline void sub_scalar_canonical(const double* xs, std::size_t n, double m,
 inline void diff_div_canonical(const double* hi, const double* lo,
                                std::size_t n, double div, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = (hi[i] - lo[i]) / div;
-}
-
-inline void widen_canonical(const float* xs, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<double>(xs[i]);
-}
-
-inline void narrow_canonical(const double* xs, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(xs[i]);
 }
 
 inline double min_until_greater_fwd_canonical(const double* xs, std::size_t n,
@@ -290,31 +245,32 @@ inline std::size_t count_byte_canonical(const char* bytes, std::size_t n,
 
 /// Lane-parallel biquad cascade; per lane this is exactly Biquad::step's
 /// update order, so any lane matches a single-channel BiquadCascade run.
-template <typename T>
-void cascade_multi_canonical(const BiquadCoeffs* sections, std::size_t nsec,
-                             T* data, std::size_t n, bool backward) {
+/// Starts from `state` (zero when null) and stores the final state back.
+inline void cascade_multi_canonical(const BiquadCoeffs* sections,
+                                    std::size_t nsec, double* data,
+                                    std::size_t n, bool backward,
+                                    CascadeState* state) {
   struct Sec {
-    T b0, b1, b2, a1, a2;
+    double b0, b1, b2, a1, a2;
   };
-  Sec cs[kMaxSections];
-  T s1[kMaxSections][kIirLanes] = {};
-  T s2[kMaxSections][kIirLanes] = {};
+  Sec cs[kMaxIirSections];
+  CascadeState st = state ? *state : CascadeState{};
   for (std::size_t s = 0; s < nsec; ++s) {
-    cs[s] = {static_cast<T>(sections[s].b0), static_cast<T>(sections[s].b1),
-             static_cast<T>(sections[s].b2), static_cast<T>(sections[s].a1),
-             static_cast<T>(sections[s].a2)};
+    cs[s] = {sections[s].b0, sections[s].b1, sections[s].b2, sections[s].a1,
+             sections[s].a2};
   }
   for (std::size_t k = 0; k < n; ++k) {
-    T* x = data + (backward ? n - 1 - k : k) * kIirLanes;
+    double* x = data + (backward ? n - 1 - k : k) * kIirLanes;
     for (std::size_t s = 0; s < nsec; ++s) {
       for (std::size_t j = 0; j < kIirLanes; ++j) {
-        const T y = cs[s].b0 * x[j] + s1[s][j];
-        s1[s][j] = cs[s].b1 * x[j] - cs[s].a1 * y + s2[s][j];
-        s2[s][j] = cs[s].b2 * x[j] - cs[s].a2 * y;
+        const double y = cs[s].b0 * x[j] + st.s1[s][j];
+        st.s1[s][j] = cs[s].b1 * x[j] - cs[s].a1 * y + st.s2[s][j];
+        st.s2[s][j] = cs[s].b2 * x[j] - cs[s].a2 * y;
         x[j] = y;
       }
     }
   }
+  if (state) *state = st;
 }
 
 }  // namespace ptrack::dsp::simd::detail

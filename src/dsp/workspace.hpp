@@ -32,7 +32,6 @@ class Workspace {
  public:
   static constexpr std::size_t kComplexSlots = 2;
   static constexpr std::size_t kRealSlots = 4;
-  static constexpr std::size_t kFloatSlots = 2;
 
   Workspace() = default;
   /// Copying yields a fresh, empty workspace: scratch contents are transient
@@ -52,10 +51,6 @@ class Workspace {
   /// Scratch buffer of n doubles (resized, contents unspecified).
   AlignedVector<double>& real_scratch(std::size_t slot, std::size_t n);
 
-  /// Scratch buffer of n floats (resized, contents unspecified) — backing
-  /// store for the float32 pipeline variant's kernels.
-  AlignedVector<float>& float_scratch(std::size_t slot, std::size_t n);
-
   /// Twiddle tables for a power-of-two FFT size, built on first use and
   /// cached for the lifetime of the workspace. The returned reference stays
   /// valid until the workspace is destroyed.
@@ -64,7 +59,6 @@ class Workspace {
  private:
   std::array<AlignedVector<std::complex<double>>, kComplexSlots> complex_;
   std::array<AlignedVector<double>, kRealSlots> real_;
-  std::array<AlignedVector<float>, kFloatSlots> float_;
   /// Few distinct sizes; linear lookup. unique_ptr keeps plan addresses
   /// stable across cache growth.
   std::vector<std::unique_ptr<FftPlan>> plans_;

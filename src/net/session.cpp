@@ -16,12 +16,12 @@ namespace {
 constexpr std::size_t kEventsPerFrame = 512;
 static_assert(4 + kEventsPerFrame * kEventWireBytes <= kMaxPayloadBytes);
 
-/// Retention horizon of the incremental pipeline (projection context +
-/// axis history + finalization margins), used for admission accounting —
+/// Retention horizon of the incremental pipeline (axis history +
+/// finalization margins), used for admission accounting —
 /// deliberately rounded up: shedding slightly early beats paging.
 constexpr double kTrackerRetentionS = 40.0;
 /// Ring bytes per retained sample: 7 channels of f64 (6 + flags padding)
-/// plus the f32 mirrors and quality bookkeeping, rounded up.
+/// plus the quality bookkeeping, rounded up.
 constexpr std::size_t kBytesPerRetainedSample = 80;
 
 }  // namespace
@@ -111,8 +111,8 @@ Session::IoResult Session::on_hello(const Frame& frame) {
   }
   const bool fs_ok = std::isfinite(hello.fs) && hello.fs >= cfg_.fs_min &&
                      hello.fs <= cfg_.fs_max;
-  const bool precision_ok =
-      hello.precision == 0 || (hello.precision == 1 && cfg_.allow_f32);
+  // Double precision is the only pipeline; the byte stays reserved.
+  const bool precision_ok = hello.precision == 0;
   if (!fs_ok || !precision_ok) {
     ++counters_.frames_rejected;
     PTRACK_COUNT("ptrack.net.frames.rejected");
@@ -120,20 +120,16 @@ Session::IoResult Session::on_hello(const Frame& frame) {
                           fs_ok ? "unsupported precision"
                                 : "sample rate out of range");
   }
-  core::StreamingConfig streaming = cfg_.streaming;
-  streaming.precision = hello.precision == 1 ? core::Precision::kFloat32
-                                             : core::Precision::kDouble;
   // Connection setup: the tracker and its rings are built once per
   // session, before any steady-state traffic.
   // ptrack-lint: allow(alloc) one-time session setup at HELLO
-  tracker_.emplace(hello.fs, streaming);
+  tracker_.emplace(hello.fs, cfg_.streaming);
   id_ = hello.session_id;
   fs_ = hello.fs;
   mem_estimate_ = session_memory_estimate(cfg_, fs_);
   state_ = State::kStreaming;
   PTRACK_LOG_DEBUG("net", "session_hello", kv("session_id", id_),
-                   kv("fs", fs_),
-                   kv("f32", hello.precision == 1));
+                   kv("fs", fs_));
   ++counters_.frames_ok;
   PTRACK_COUNT("ptrack.net.frames.ok");
   HelloAck ack;

@@ -91,7 +91,8 @@ enum class ErrorCode : std::uint16_t {
 // Payload structs
 
 /// HELLO payload: u64 session id, f64 sample rate, u8 precision
-/// (0 = double, 1 = float32 fast path), 7 reserved bytes (must be 0).
+/// (0 = double, the only pipeline; other values are reserved and the
+/// server answers them with kBadHello), 7 reserved bytes (must be 0).
 struct Hello {
   std::uint64_t session_id = 0;
   double fs = 0.0;

@@ -151,13 +151,14 @@ TEST(NetSession, HelloValidation) {
               Session::IoResult::kClose);
     EXPECT_EQ(expect_single_error(session).code, ErrorCode::kBadHello);
   }
-  {  // f32 disabled by policy
-    SessionConfig cfg;
-    cfg.allow_f32 = false;
-    Session session{cfg};
+  {  // precision 1: the float32 pipeline is gone, the byte stays reserved
+    Session session{SessionConfig{}};
     EXPECT_EQ(feed(session, hello_bytes(1, 100.0, 1)),
               Session::IoResult::kClose);
-    EXPECT_EQ(expect_single_error(session).code, ErrorCode::kBadHello);
+    const WireError err = expect_single_error(session);
+    EXPECT_EQ(err.code, ErrorCode::kBadHello);
+    EXPECT_EQ(err.detail, "unsupported precision");
+    EXPECT_EQ(session.counters().frames_rejected, 1u);
   }
 }
 

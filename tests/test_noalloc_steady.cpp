@@ -2,8 +2,8 @@
 // tracker has flushed once (warm-up) and its buffers, rings and per-thread
 // scratch have reached steady capacity, an incremental hop must not touch
 // the heap at all. This sweep drives every equivalence scenario — walking,
-// stepping, mixed gait, interference and a fault-injected stream — in both
-// double and float32 precision through >= 100 consecutive measured hops and
+// stepping, mixed gait, interference and a fault-injected stream — through
+// >= 100 consecutive measured hops and
 // asserts the thread's allocation counter does not move. Enforcement mode
 // is armed as well (when checks are compiled in), so a regression throws at
 // the offending allocation site instead of only failing the final count.
@@ -16,8 +16,7 @@
 
 #include "common/alloc_hooks.hpp"
 #include "core/streaming.hpp"
-#include "imu/faults.hpp"
-#include "synth/synthesizer.hpp"
+#include "streaming_scenarios.hpp"
 
 using namespace ptrack;
 
@@ -25,35 +24,7 @@ namespace {
 
 constexpr std::size_t kMeasuredHops = 120;  // acceptance floor is 100
 
-struct NamedTrace {
-  std::string name;
-  imu::Trace trace;
-};
-
-std::vector<NamedTrace> scenarios() {
-  synth::UserProfile user;
-  const auto make = [&](const synth::Scenario& sc, std::uint64_t seed) {
-    Rng rng(seed);
-    return synth::synthesize(sc, user, synth::SynthOptions{}, rng).trace;
-  };
-  std::vector<NamedTrace> out;
-  out.push_back({"walking", make(synth::Scenario::pure_walking(45.0), 701)});
-  out.push_back({"stepping", make(synth::Scenario::pure_stepping(45.0), 702)});
-  out.push_back({"mixed", make(synth::Scenario::mixed_gait(60.0), 703)});
-  out.push_back({"interference",
-                 make(synth::Scenario::interference(synth::ActivityKind::Gaming,
-                                                    45.0,
-                                                    synth::Posture::Standing),
-                      704)});
-  {
-    imu::Trace faulty = make(synth::Scenario::pure_walking(45.0), 705);
-    Rng rng(706);
-    faulty = imu::inject_dropouts(faulty, 4.0, 10, 60, rng);
-    faulty = imu::clip_acceleration(faulty, 25.0);
-    out.push_back({"faulted", std::move(faulty)});
-  }
-  return out;
-}
+using testing_support::NamedTrace;
 
 // Drives `hops` incremental hops by replaying the trace cyclically (the
 // tracker restamps sample times, so the replay is a seamless continuation)
@@ -74,12 +45,10 @@ std::uint64_t run_hops(core::StreamingTracker& stream, const imu::Trace& trace,
   return after.allocations - before.allocations;
 }
 
-void expect_steady_hops_allocation_free(const NamedTrace& s,
-                                        core::Precision precision) {
+void expect_steady_hops_allocation_free(const NamedTrace& s) {
   synth::UserProfile user;
   core::StreamingConfig cfg;
   cfg.pipeline.stride.profile = {user.arm_length, user.leg_length, 2.0};
-  cfg.precision = precision;
 
   core::StreamingTracker stream(s.trace.fs(), cfg);
   const auto hop_samples = static_cast<std::size_t>(cfg.hop_s * s.trace.fs());
@@ -120,15 +89,8 @@ void expect_steady_hops_allocation_free(const NamedTrace& s,
 }  // namespace
 
 TEST(NoAllocSteadyState, DoublePrecisionAcrossScenarios) {
-  for (const NamedTrace& s : scenarios()) {
+  for (const NamedTrace& s : testing_support::streaming_scenarios()) {
     SCOPED_TRACE(s.name);
-    expect_steady_hops_allocation_free(s, core::Precision::kDouble);
-  }
-}
-
-TEST(NoAllocSteadyState, Float32PrecisionAcrossScenarios) {
-  for (const NamedTrace& s : scenarios()) {
-    SCOPED_TRACE(s.name);
-    expect_steady_hops_allocation_free(s, core::Precision::kFloat32);
+    expect_steady_hops_allocation_free(s);
   }
 }

@@ -17,44 +17,15 @@
 
 #include "core/ptrack.hpp"
 #include "core/streaming.hpp"
-#include "imu/faults.hpp"
+#include "streaming_scenarios.hpp"
 #include "synth/synthesizer.hpp"
 
 using namespace ptrack;
 
 namespace {
 
-struct NamedTrace {
-  std::string name;
-  imu::Trace trace;
-  bool expect_quiet = false;  ///< interference: the oracle emits ~nothing
-};
-
-std::vector<NamedTrace> scenarios() {
-  synth::UserProfile user;
-  const auto make = [&](const synth::Scenario& sc, std::uint64_t seed) {
-    Rng rng(seed);
-    return synth::synthesize(sc, user, synth::SynthOptions{}, rng).trace;
-  };
-  std::vector<NamedTrace> out;
-  out.push_back({"walking", make(synth::Scenario::pure_walking(45.0), 701)});
-  out.push_back({"stepping", make(synth::Scenario::pure_stepping(45.0), 702)});
-  out.push_back({"mixed", make(synth::Scenario::mixed_gait(60.0), 703)});
-  out.push_back({"interference",
-                 make(synth::Scenario::interference(synth::ActivityKind::Gaming,
-                                                    45.0,
-                                                    synth::Posture::Standing),
-                      704),
-                 /*expect_quiet=*/true});
-  {
-    imu::Trace faulty = make(synth::Scenario::pure_walking(45.0), 705);
-    Rng rng(706);
-    faulty = imu::inject_dropouts(faulty, 4.0, 10, 60, rng);
-    faulty = imu::clip_acceleration(faulty, 25.0);
-    out.push_back({"faulted", std::move(faulty)});
-  }
-  return out;
-}
+using testing_support::NamedTrace;
+using testing_support::streaming_scenarios;
 
 core::StreamingConfig base_config() {
   synth::UserProfile user;
@@ -124,7 +95,7 @@ class IncrementalEquivalence : public ::testing::TestWithParam<double> {};
 
 TEST_P(IncrementalEquivalence, TracksBatchOracleAcrossScenarios) {
   const double hop_s = GetParam();
-  for (const NamedTrace& s : scenarios()) {
+  for (const NamedTrace& s : streaming_scenarios()) {
     core::StreamingConfig cfg = base_config();
     cfg.hop_s = hop_s;
     core::PTrack batch(cfg.pipeline);
@@ -152,7 +123,7 @@ class RecomputeEquivalence
 
 TEST_P(RecomputeEquivalence, TracksBatchOracleAcrossScenarios) {
   const RecomputeParams p = GetParam();
-  for (const NamedTrace& s : scenarios()) {
+  for (const NamedTrace& s : streaming_scenarios()) {
     core::StreamingConfig cfg = base_config();
     cfg.mode = core::StreamingConfig::Mode::kRecompute;
     cfg.hop_s = p.hop_s;
